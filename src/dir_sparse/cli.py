@@ -4,7 +4,7 @@ import argparse
 import sys
 
 from . import fileio
-from .core import DirConfig, ProblemInstance, available_engines, run_dir
+from .core import DirConfig, ProblemInstance, RunStatus, available_engines, run_dir
 from .harness import InstanceSpec, run_batch, write_aggregate_csv, write_trials_json
 from .losses import LossKind, LossSpec, PenaltySpec
 
@@ -79,7 +79,8 @@ def _cmd_solve(args) -> int:
             fh.write(result.history_jsonl() + "\n")
     print(f"status={result.status.value} iterations={len(result.history)} "
           f"residual={residual:.3e} -> {args.out}")
-    return 0 if result.status.value != "subproblem-failure" else 1
+    failed = (RunStatus.SUBPROBLEM_FAILURE, RunStatus.CERTIFICATE_VIOLATION)
+    return 1 if result.status in failed else 0
 
 
 def _cmd_bench(args) -> int:

@@ -33,6 +33,7 @@ class RunStatus(str, Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max-iterations"
     SUBPROBLEM_FAILURE = "subproblem-failure"
+    CERTIFICATE_VIOLATION = "certificate-violation"
 
 
 def default_tau_schedule(k: int) -> float:
@@ -63,14 +64,16 @@ class ProblemInstance:
 
     @classmethod
     def build(cls, A, b, sigma, loss, penalty) -> "ProblemInstance":
+        """Verify the assumptions and fill the caches from one QR of A.T."""
         A = np.ascontiguousarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
-        report = validate_assumptions(A, b, sigma, loss)
+        Q, R = np.linalg.qr(A.T)
+        report = validate_assumptions(A, b, sigma, loss, R)
         if not report.ok:
-            raise ValueError(f"invalid problem data: {report}")
+            raise ValueError(f"problem data violates assumptions: {report}")
         return cls(A=A, b=b, sigma=float(sigma), loss=loss, penalty=penalty,
-                   least_norm=least_norm_solution(A, b),
-                   gram_lmax=lambda_max_gram(A))
+                   least_norm=least_norm_solution(Q, R, b),
+                   gram_lmax=lambda_max_gram(R))
 
     @property
     def shape(self):
@@ -319,7 +322,10 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
     retracts the engine's answer into the feasible set.  Stops when the
     relative step ||x_{k+1} - x_k|| / max(||x_k||, 1) drops to
     ``outer_tol``, when ``max_outer`` is hit, or when a certified engine
-    exhausts its accuracy escalations.
+    exhausts its accuracy escalations.  A certified engine that reports
+    success with a certificate failing the ``eps_k`` criteria stops the run
+    with status ``certificate-violation``; that answer is discarded and the
+    result holds the iterations before it.
     """
     config = config or DirConfig()
     engine = get_engine(config.engine, config)
@@ -343,8 +349,9 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
         tic = time.perf_counter()
         sub = build_subproblem(instance, x, k, config)
         cert, warm, inner, ok = engine.solve(sub, warm)
-        if engine.certified and ok:
-            assert cert.criteria_met(sub.eps_k)
+        if engine.certified and ok and not cert.criteria_met(sub.eps_k):
+            status = RunStatus.CERTIFICATE_VIOLATION
+            break
 
         x_next = retract(sub, cert.x_tilde)
         step = float(np.linalg.norm(x_next - x))

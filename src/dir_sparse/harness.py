@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DirConfig, ProblemInstance, RunResult, run_dir
-from .linalg import lambda_max_gram
-from .losses import LossKind, LossSpec, PenaltySpec, validate_assumptions
+from .losses import LossKind, LossSpec, PenaltySpec
 
 SUCCESS_RECOVERY_ERROR = 0.01
 
@@ -62,9 +61,7 @@ class TrialRecord:
     total_inner_iterations: int
     wall_seconds: float
     L_value: float
-    time_L: float
-    time_QR: float
-    time_slater: float
+    setup_seconds: float         # ProblemInstance.build: QR, checks, caches
     status: str
     error: Optional[str] = None
 
@@ -89,44 +86,20 @@ def _draw_instance_data(spec: InstanceSpec):
     return A, x_orig, eta
 
 
-def generate_instance_timed(spec: InstanceSpec):
-    """Build one instance, returning (instance, x_orig, timing dict).
-
-    The timings cover the QR factorization of A.T, the least-norm solve
-    given that factorization, and the spectral bound on A A.T.
-    """
+def _problem_data(spec: InstanceSpec):
+    """Arguments of ProblemInstance.build for ``spec``, and x_orig."""
     A, x_orig, eta = _draw_instance_data(spec)
     noise = spec.noise_scale * eta
     b = A @ x_orig + noise
     loss = LossSpec(LossKind.CAUCHY, spec.delta)
-    penalty = PenaltySpec(spec.epsilon)
     sigma = spec.sigma_factor * float(np.sum(loss.value(noise * noise)))
-
-    report = validate_assumptions(A, b, sigma, loss)
-    if not report.ok:
-        raise ValueError(f"generated instance violates assumptions: {report}")
-
-    tic = time.perf_counter()
-    Q, R = np.linalg.qr(A.T)
-    time_qr = time.perf_counter() - tic
-    tic = time.perf_counter()
-    x_ln = Q @ np.linalg.solve(R.T, b)
-    time_slater = time.perf_counter() - tic
-    tic = time.perf_counter()
-    L = lambda_max_gram(A)
-    time_l = time.perf_counter() - tic
-
-    instance = ProblemInstance(A=np.ascontiguousarray(A), b=b, sigma=sigma,
-                               loss=loss, penalty=penalty,
-                               least_norm=x_ln, gram_lmax=L)
-    timings = {"time_QR": time_qr, "time_slater": time_slater, "time_L": time_l}
-    return instance, x_orig, timings
+    return (A, b, sigma, loss, PenaltySpec(spec.epsilon)), x_orig
 
 
 def generate_instance(spec: InstanceSpec):
     """Deterministically generate (instance, x_orig) for the given spec."""
-    instance, x_orig, _ = generate_instance_timed(spec)
-    return instance, x_orig
+    data, x_orig = _problem_data(spec)
+    return ProblemInstance.build(*data), x_orig
 
 
 def compute_metrics(result: RunResult, instance: ProblemInstance,
@@ -143,7 +116,10 @@ def compute_metrics(result: RunResult, instance: ProblemInstance,
 def run_trial(spec: InstanceSpec, engine: str,
               config: Optional[DirConfig] = None) -> TrialRecord:
     """Generate the instance for ``spec``, solve it, record the measurements."""
-    instance, x_orig, timings = generate_instance_timed(spec)
+    data, x_orig = _problem_data(spec)
+    tic = time.perf_counter()
+    instance = ProblemInstance.build(*data)
+    setup = time.perf_counter() - tic
     cfg = replace(config, engine=engine) if config is not None \
         else DirConfig(engine=engine)
     tic = time.perf_counter()
@@ -155,9 +131,8 @@ def run_trial(spec: InstanceSpec, engine: str,
         recovery_error=metrics.recovery_error, residual=metrics.residual,
         outer_iterations=len(result.history),
         total_inner_iterations=sum(h["inner_iterations"] for h in result.history),
-        wall_seconds=wall, L_value=instance.gram_lmax,
-        time_L=timings["time_L"], time_QR=timings["time_QR"],
-        time_slater=timings["time_slater"], status=result.status.value)
+        wall_seconds=wall, L_value=instance.gram_lmax, setup_seconds=setup,
+        status=result.status.value)
 
 
 def _trial_task(args):
@@ -169,8 +144,8 @@ def _trial_task(args):
             seed=spec.seed, engine=engine, success=False,
             recovery_error=float("nan"), residual=float("nan"),
             outer_iterations=0, total_inner_iterations=0, wall_seconds=0.0,
-            L_value=float("nan"), time_L=0.0, time_QR=0.0, time_slater=0.0,
-            status="error", error=f"{type(exc).__name__}: {exc}")
+            L_value=float("nan"), setup_seconds=0.0, status="error",
+            error=f"{type(exc).__name__}: {exc}")
 
 
 def run_batch(specs, engines, trials_per_spec: int,

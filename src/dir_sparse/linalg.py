@@ -1,75 +1,43 @@
 """Dense linear-algebra kernels shared by the solvers.
 
-Least-norm solves go through the thin QR of A.T; the spectral bound on
-A A.T uses power iteration with a deterministic start; the prox/projection
-operators are exact closed forms or exact breakpoint searches.
+The setup quantities come from the thin QR A.T = Q R of a wide matrix,
+factored once per instance by the caller: the rank test reads the
+diagonal of R, the least-norm point is Q (R^-T b), and the spectral bound
+on A A.T = R.T R is ||R||_2^2.  The prox/projection operators are exact
+closed forms or exact breakpoint searches.
 """
-
-import warnings
 
 import numpy as np
 
 
-class AccuracyWarning(UserWarning):
-    """Raised when an iterative kernel stops before reaching its tolerance."""
-
-
-# Rank tolerance for the triangular factor in the least-norm solve.
+# Smallest acceptable ratio of extreme |diag(R)| in the QR rank test.
 _RANK_RTOL = 1e-10
 
-_POWER_MAX_ITER = 10_000
-_POWER_RTOL = 1e-10
 
-
-def least_norm_solution(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of A x = b for a full-row-rank wide matrix.
-
-    Uses the thin QR of A.T: with A.T = Q R, the solution is Q (R^-T b).
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    Q, R = np.linalg.qr(A.T)
+def rank_ratio(R: np.ndarray) -> float:
+    """Ratio min/max of |diag(R)| for a triangular factor; 0 when R = 0."""
     rdiag = np.abs(np.diag(R))
-    if rdiag.min() <= _RANK_RTOL * max(rdiag.max(), np.finfo(float).tiny):
+    return float(rdiag.min() / rdiag.max()) if rdiag.max() > 0 else 0.0
+
+
+def least_norm_solution(Q: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of A x = b from the thin QR A.T = Q R.
+
+    A must be wide with full row rank; the solution is Q (R^-T b).
+    """
+    if rank_ratio(R) <= _RANK_RTOL:
         raise np.linalg.LinAlgError(
             "matrix is numerically rank deficient; least-norm solve is singular")
-    y = np.linalg.solve(R.T, b)
-    return Q @ y
+    return Q @ np.linalg.solve(R.T, b)
 
 
-def lambda_max_gram(A: np.ndarray) -> float:
-    """Largest eigenvalue of A A.T by power iteration.
+def lambda_max_gram(M: np.ndarray) -> float:
+    """Largest eigenvalue of M M.T, the squared spectral norm of M.
 
-    Starts from the all-ones vector; one seeded random restart guards
-    against a start vector orthogonal to the leading eigenvector.  Emits
-    an AccuracyWarning (keeping the best estimate) if the Rayleigh
-    quotient has not settled within the iteration cap.
+    Exact up to rounding for M = A or, with A.T = Q R, for the much smaller
+    M = R, since A A.T = R.T R.
     """
-    A = np.asarray(A, dtype=float)
-    m = A.shape[0]
-
-    def _iterate(z):
-        rho = rho_prev = 0.0
-        for it in range(_POWER_MAX_ITER):
-            y = A @ (A.T @ z)
-            rho = float(z @ y)  # Rayleigh quotient at the unit vector z
-            ny = np.linalg.norm(y)
-            if ny == 0.0:
-                return 0.0, True
-            z = y / ny
-            if it > 0 and abs(rho - rho_prev) <= _POWER_RTOL * max(rho, 1e-300):
-                return rho, True
-            rho_prev = rho
-        return rho, False
-
-    rho1, ok1 = _iterate(np.ones(m) / np.sqrt(m))
-    z0 = np.random.default_rng(0).standard_normal(m)
-    rho2, ok2 = _iterate(z0 / np.linalg.norm(z0))
-    if not (ok1 and ok2):
-        warnings.warn(
-            f"power iteration did not settle within {_POWER_MAX_ITER} iterations; "
-            f"returning best estimate {max(rho1, rho2):.6e}", AccuracyWarning)
-    return max(rho1, rho2)
+    return float(np.linalg.norm(M, 2)) ** 2
 
 
 def soft_threshold(v: np.ndarray, t) -> np.ndarray:

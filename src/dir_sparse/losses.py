@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .linalg import _RANK_RTOL, rank_ratio
+
 
 class LossKind(str, Enum):
     CAUCHY = "cauchy"
@@ -155,35 +157,43 @@ class AssumptionReport:
 
 # Relative gap below which sigma counts as colliding with k * sup(phi).
 _SUP_COLLISION_RTOL = 1e-12
-# Smallest acceptable ratio of extreme R diagonals in the QR rank test.
-_RANK_RTOL = 1e-10
 
 
 def validate_assumptions(A: np.ndarray, b: np.ndarray, sigma: float,
-                         loss: LossSpec) -> AssumptionReport:
+                         loss: LossSpec, R: np.ndarray) -> AssumptionReport:
     """Check the problem-data assumptions the solver relies on.
 
-    Verifies that A is wide (m <= n) with numerically full row rank, that
-    0 < sigma < sum_i phi(b_i^2) (so 0 is infeasible while the least-norm
-    interpolant is feasible), and that sigma stays away from integer
-    multiples of sup(phi) when that supremum is finite.
+    ``R`` is the triangular factor of the thin QR of A.T.  Non-finite
+    values in A, b or sigma are reported alone, since every other check
+    would misread them.  Otherwise verifies that A is wide (m <= n) with
+    numerically full row rank, that 0 < sigma < sum_i phi(b_i^2) (so 0 is
+    infeasible while the least-norm interpolant is feasible), and that
+    sigma stays away from integer multiples of sup(phi) when that
+    supremum is finite.
     """
-    failures = []
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     if b.shape != (m,):
         raise ValueError(f"b has shape {b.shape}, expected ({m},)")
 
+    nonfinite = [name for name, arr in (("A", A), ("b", b), ("sigma", sigma))
+                 if not np.all(np.isfinite(arr))]
+    if nonfinite:
+        return AssumptionReport(
+            ok=False, failures=(f"non-finite values (NaN or inf) in "
+                                f"{', '.join(nonfinite)}",),
+            rank_ratio=math.nan, constraint_at_zero=math.nan)
+
+    failures = []
     if m > n:
         failures.append(f"matrix must be wide for full row rank: m={m} > n={n}")
-        rank_ratio = 0.0
+        ratio = 0.0
     else:
-        rdiag = np.abs(np.diag(np.linalg.qr(A.T, mode="r")))
-        rank_ratio = float(rdiag.min() / rdiag.max()) if rdiag.max() > 0 else 0.0
-        if rank_ratio <= _RANK_RTOL:
+        ratio = rank_ratio(R)
+        if ratio <= _RANK_RTOL:
             failures.append(
-                f"numerically rank deficient: min/max QR diagonal {rank_ratio:.3e}")
+                f"numerically rank deficient: min/max QR diagonal {ratio:.3e}")
 
     phi_at_zero = float(np.sum(loss.value(b * b)))
     if not (0.0 < sigma < phi_at_zero):
@@ -199,4 +209,4 @@ def validate_assumptions(A: np.ndarray, b: np.ndarray, sigma: float,
                 f"k*sup(phi)={phi_sup:.6g}")
 
     return AssumptionReport(ok=not failures, failures=tuple(failures),
-                            rank_ratio=rank_ratio, constraint_at_zero=phi_at_zero)
+                            rank_ratio=ratio, constraint_at_zero=phi_at_zero)

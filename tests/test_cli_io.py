@@ -102,6 +102,17 @@ class TestSolveCli:
         assert rc == 0
         assert json.loads(out.read_text())["status"] == "converged"
 
+    def test_solve_names_non_finite_matrix(self, instance_files):
+        tmp, inst, a_path, b_path = instance_files
+        A = inst.A.copy()
+        A[0, 0] = np.nan
+        nan_path = tmp / "A_nan.csv"
+        fileio.write_array_csv(nan_path, A)
+        assert "nan" in nan_path.read_text()
+        with pytest.raises(ValueError, match=r"non-finite .* in A$"):
+            main(["solve", "--matrix", str(nan_path), "--rhs", str(b_path),
+                  "--sigma", str(inst.sigma), "--out", str(tmp / "nan.json")])
+
     def test_solve_rejects_bad_loss(self, instance_files, capsys):
         tmp, inst, a_path, b_path = instance_files
         with pytest.raises(SystemExit):

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dir_sparse
 from dir_sparse import (DirConfig, InexactCertificate, LossKind, LossSpec,
                         PenaltySpec, RunStatus, build_subproblem,
                         register_engine, retract, run_dir, stationarity_report)
@@ -26,6 +30,17 @@ class TestProblemInstance:
         assert inst.gram_lmax == pytest.approx(
             float(np.linalg.eigvalsh(inst.A @ inst.A.T).max()), rel=1e-8)
         assert inst.is_feasible(inst.least_norm)
+
+    def test_build_factors_once(self, monkeypatch):
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda *args, **kw: qr_calls.append(1) or qr(*args, **kw))
+        inst = make_instance(30, 90, seed=1)
+        assert len(qr_calls) == 1
+        monkeypatch.undo()
+        assert inst.gram_lmax == pytest.approx(
+            float(np.linalg.norm(inst.A, 2)) ** 2, rel=1e-12)
 
     def test_build_rejects_bad_sigma(self):
         rng = np.random.default_rng(0)
@@ -193,6 +208,32 @@ class _FailingEngine:
         return cert, None, 5, False
 
 
+class _LyingEngine:
+    """Certified engine whose second answer claims success but fails its
+    certificate; used to test that run_dir checks the claim."""
+
+    certified = True
+
+    def __init__(self):
+        self.calls = 0
+
+    def solve(self, sub, warm):
+        self.calls += 1
+        residual = 0.0 if self.calls == 1 else math.inf
+        cert = InexactCertificate(
+            x_tilde=sub.x_k, u_tilde=np.zeros_like(sub.b_w), multiplier=0.0,
+            kkt_residual=residual, coupling_residual=0.0, descent_ok=True)
+        return cert, None, 1, True
+
+
+def certificate_violation_run():
+    """Run the lying engine; returns (instance, result)."""
+    register_engine("lying-test", lambda config: _LyingEngine())
+    inst = make_instance(5, 12, seed=18)
+    return inst, run_dir(inst, DirConfig(engine="lying-test", max_outer=10,
+                                         outer_tol=-1.0))
+
+
 class TestRunDir:
     def test_stopping_rule_plumbing(self):
         inst = make_instance(6, 15, seed=12)
@@ -231,6 +272,24 @@ class TestRunDir:
         assert res.status is RunStatus.SUBPROBLEM_FAILURE
         assert len(res.history) == 1
         assert inst.is_feasible(res.x_retracted)
+
+    def test_certificate_violation_keeps_partial_history(self):
+        inst, res = certificate_violation_run()
+        assert res.status is RunStatus.CERTIFICATE_VIOLATION
+        assert len(res.history) == 1 and res.history[0]["criteria_enforced"]
+        assert inst.is_feasible(res.x_retracted)
+
+    def test_certificate_violation_caught_under_python_O(self):
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(dir_sparse.__file__)),
+                                os.path.dirname(__file__)])
+        code = ("import sys, test_core\n"
+                "_, res = test_core.certificate_violation_run()\n"
+                "print(sys.flags.optimize, res.status.value, len(res.history))\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "certificate-violation", "1"]
 
     def test_history_jsonl_parses(self):
         inst = make_instance(6, 15, seed=17)

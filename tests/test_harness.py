@@ -130,7 +130,7 @@ class TestTrialsAndBatch:
         assert rec.outer_iterations >= 1
         assert rec.total_inner_iterations >= rec.outer_iterations
         assert rec.wall_seconds > 0
-        assert rec.L_value > 0 and rec.time_QR >= 0
+        assert rec.L_value > 0 and rec.setup_seconds > 0
 
     def test_batch_single_trial_aggregate_equals_record(self):
         spec = InstanceSpec(seed=2, **TINY)
@@ -195,6 +195,10 @@ class TestTrialsAndBatch:
         loaded = json.loads(out.read_text())
         assert loaded[0]["seed"] == records[0].seed
         assert loaded[0]["recovery_error"] == records[0].recovery_error
+        assert set(loaded[0]) == {
+            "seed", "engine", "success", "recovery_error", "residual",
+            "outer_iterations", "total_inner_iterations", "wall_seconds",
+            "L_value", "setup_seconds", "status", "error"}
 
     def test_scale_index_family(self):
         spec = InstanceSpec(m=540, n=2560, s=80, seed=0)

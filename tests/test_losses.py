@@ -194,6 +194,11 @@ class TestConstraintFunction:
             constraint_value(loss, np.eye(2), np.ones(3), np.ones(2))
 
 
+def _validate(A, b, sigma, loss):
+    """Validate with R from the QR of A.T, as ProblemInstance.build does."""
+    return validate_assumptions(A, b, sigma, loss, np.linalg.qr(A.T, mode="r"))
+
+
 class TestValidateAssumptions:
     def _data(self, m=4, n=10, seed=0):
         rng = np.random.default_rng(seed)
@@ -205,7 +210,7 @@ class TestValidateAssumptions:
         A, b = self._data()
         loss = LossSpec(LossKind.CAUCHY, 0.5)
         total = float(np.sum(loss.value(b * b)))
-        report = validate_assumptions(A, b, 0.5 * total, loss)
+        report = _validate(A, b, 0.5 * total, loss)
         assert report.ok, report
 
     def test_sup_check_vacuous_for_unbounded(self):
@@ -214,11 +219,11 @@ class TestValidateAssumptions:
         loss = LossSpec(LossKind.CAUCHY, 0.5)
         total = float(np.sum(loss.value(b * b)))
         for frac in (0.1, 0.5, 0.9):
-            assert validate_assumptions(A, b, frac * total, loss).ok
+            assert _validate(A, b, frac * total, loss).ok
 
     def test_sigma_zero_fails(self):
         A, b = self._data()
-        report = validate_assumptions(A, b, 0.0, LossSpec(LossKind.CAUCHY, 0.5))
+        report = _validate(A, b, 0.0, LossSpec(LossKind.CAUCHY, 0.5))
         assert not report.ok
         assert any("sigma" in f for f in report.failures)
 
@@ -227,14 +232,14 @@ class TestValidateAssumptions:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((3, 9))
         b = 100.0 * np.ones(3)   # constraint at zero ~ 3, above sigma = 2
-        report = validate_assumptions(A, b, 2.0, LossSpec(LossKind.WELSH, 0.1))
+        report = _validate(A, b, 2.0, LossSpec(LossKind.WELSH, 0.1))
         assert not report.ok
         assert any("sup" in f for f in report.failures)
 
     def test_rank_deficiency(self):
         A = np.ones((3, 6))
         b = np.array([10.0, 10.0, 10.0])
-        report = validate_assumptions(A, b, 1.0, LossSpec(LossKind.CAUCHY, 0.5))
+        report = _validate(A, b, 1.0, LossSpec(LossKind.CAUCHY, 0.5))
         assert not report.ok
         assert any("rank" in f for f in report.failures)
 
@@ -242,5 +247,22 @@ class TestValidateAssumptions:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((6, 3))
         b = rng.standard_normal(6)
-        report = validate_assumptions(A, b, 1.0, LossSpec(LossKind.CAUCHY, 0.5))
+        report = _validate(A, b, 1.0, LossSpec(LossKind.CAUCHY, 0.5))
         assert not report.ok
+
+    @pytest.mark.parametrize("where, value", [
+        ("A", math.nan), ("A", math.inf), ("b", math.nan), ("sigma", math.nan)])
+    def test_non_finite_input_named_alone(self, where, value):
+        A, b = self._data()
+        sigma = 1.0
+        if where == "A":
+            A[1, 2] = value
+        elif where == "b":
+            b[0] = value
+        else:
+            sigma = value
+        report = _validate(A, b, sigma, LossSpec(LossKind.CAUCHY, 0.5))
+        assert not report.ok
+        assert len(report.failures) == 1
+        assert "non-finite" in report.failures[0]
+        assert report.failures[0].endswith(f" in {where}")
