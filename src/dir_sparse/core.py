@@ -280,12 +280,20 @@ def retract(sub: SubproblemData, x: np.ndarray) -> np.ndarray:
     t = sqrt(sigma_k) / ||A_k x - b_w||, which lands exactly on the ball
     boundary and is feasible for the original constraint as well.
     """
-    res = sub.matvec(x) - sub.b_w
-    nrm = float(np.linalg.norm(res))
+    return _retract(sub, x, sub.matvec(x))[0]
+
+
+def _retract(sub: SubproblemData, x: np.ndarray, Akx: np.ndarray):
+    """:func:`retract` given the product Akx = A_k x.
+
+    Returns the retracted point and ||A_k x - b_w||, so callers that hold
+    the product, or need the norm, spend no further product with A.
+    """
+    nrm = float(np.linalg.norm(Akx - sub.b_w))
     if nrm * nrm <= sub.sigma_k:
-        return x
+        return x, nrm
     t = sub.sigma_bar / nrm
-    return (1.0 - t) * sub.instance.least_norm + t * x
+    return (1.0 - t) * sub.instance.least_norm + t * x, nrm
 
 
 def stationarity_report(instance: ProblemInstance, x: np.ndarray,
@@ -353,7 +361,8 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
             status = RunStatus.CERTIFICATE_VIOLATION
             break
 
-        x_next = retract(sub, cert.x_tilde)
+        x_next, sub_residual = _retract(sub, cert.x_tilde,
+                                        sub.matvec(cert.x_tilde))
         step = float(np.linalg.norm(x_next - x))
         rel_step = step / max(float(np.linalg.norm(x)), 1.0)
         psi_next = instance.objective(x_next)
@@ -375,8 +384,7 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
             "descent_ok": bool(cert.descent_ok),
             "multiplier": cert.multiplier,
             "criteria_enforced": bool(engine.certified and ok),
-            "subproblem_residual": float(np.linalg.norm(
-                sub.matvec(cert.x_tilde) - sub.b_w)),
+            "subproblem_residual": sub_residual,
             "retraction_displacement": float(np.linalg.norm(
                 x_next - cert.x_tilde)),
             "anchor_gap": float(np.linalg.norm(

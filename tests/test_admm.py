@@ -6,6 +6,7 @@ import pytest
 from dir_sparse import (AdmmConfig, AdmmState, DirConfig, LossKind, LossSpec,
                         PenaltySpec, admm_solve, admm_step, build_subproblem,
                         retract)
+from dir_sparse import admm as admm_module
 from dir_sparse.admm import _ball_multiplier
 from dir_sparse.core import ProblemInstance, SubproblemData
 
@@ -141,6 +142,95 @@ class TestSolve:
         pulled = retract(sub, cert.x_tilde)
         assert np.abs(sub.w * pulled).sum() \
             <= np.abs(sub.w * sub.x_k).sum() + sub.mu_k
+
+    def test_two_products_per_sweep(self, monkeypatch):
+        # One matvec and one rmatvec per sweep.  The constant is the first
+        # product and gradient, the exact check of the last sweep, and on a
+        # warm start with a nonzero multiplier the seed of A_k^T lam / beta.
+        calls = []
+        for name in ("matvec", "rmatvec"):
+            def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
+                calls.append(_name)
+                return _orig(self, z)
+            monkeypatch.setattr(SubproblemData, name, counted)
+        sub = build_random_sub(5, 12, seed=4, eps_k=-1.0)
+        _, warm, _ = admm_solve(sub, None, AdmmConfig(max_inner=5))
+        assert warm.lam.any()
+        for N in (20, 40):
+            calls.clear()
+            admm_solve(sub, None, AdmmConfig(max_inner=N))
+            assert calls.count("matvec") == N + 1
+            assert calls.count("rmatvec") == N + 2
+            calls.clear()
+            admm_solve(sub, warm, AdmmConfig(max_inner=N))
+            assert calls.count("matvec") == N + 1
+            assert calls.count("rmatvec") == N + 3
+
+    @staticmethod
+    def _exact_surrogate(sub, prev, cur):
+        """||beta A_k^T (A_k dx - du) - prox dx|| between two states."""
+        L_bar = sub.gram_bound()
+        beta = L_bar ** -0.5
+        dAkx = sub.matvec(cur.x) - sub.matvec(prev.x)
+        s = (beta * sub.rmatvec(dAkx - (cur.u - prev.u))
+             - L_bar * beta * (cur.x - prev.x))
+        return float(np.linalg.norm(s))
+
+    @staticmethod
+    def _second_subproblem(desk_instance):
+        """The desk run's second subproblem and its warm start.
+
+        The warm multiplier is nonzero, so the carried A_k^T lam / beta starts
+        nonzero, and on 8 sweeps of this solve the coupling residual passes
+        eps_k while the exact surrogate does not.
+        """
+        inst, _ = desk_instance
+        cfg = DirConfig(engine="admm")
+        sub0 = build_subproblem(inst, inst.least_norm, 0, cfg)
+        cert0, warm, _ = admm_solve(sub0, None, AdmmConfig())
+        return build_subproblem(inst, retract(sub0, cert0.x_tilde), 1, cfg), warm
+
+    def test_certificate_kkt_recomputed_exactly(self, desk_instance):
+        sub, warm = self._second_subproblem(desk_instance)
+        cert, state, info = admm_solve(sub, warm, AdmmConfig())
+        assert info["ok"] and warm.lam.any()
+
+        prev = ref = warm
+        for _ in range(info["iterations"]):
+            prev, ref = ref, admm_step(ref, sub, AdmmConfig())
+        np.testing.assert_array_equal(ref.x, state.x)
+        want = self._exact_surrogate(sub, prev, ref)
+        assert cert.kkt_residual == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert cert.kkt_residual <= sub.eps_k
+
+    def test_lying_surrogate_does_not_certify(self, monkeypatch, desk_instance):
+        # The carried surrogate claims 0 on every sweep, so every sweep whose
+        # coupling passes becomes a candidate; only the exact check may accept.
+        sub, warm = self._second_subproblem(desk_instance)
+        monkeypatch.setattr(admm_module, "_carried_kkt", lambda *args: 0.0)
+        cert, state, info = admm_solve(sub, warm, AdmmConfig())
+
+        # Replay: the first sweep that passes the exact tests is the answer.
+        eps_k = sub.eps_k
+        ref = warm
+        rejected = []
+        accepted_at = None
+        for it in range(1, info["iterations"] + 1):
+            prev, ref = ref, admm_step(ref, sub, AdmmConfig())
+            coupling = float(np.linalg.norm(sub.matvec(ref.x) - sub.b_w - ref.u))
+            if coupling > eps_k:
+                continue
+            kkt = self._exact_surrogate(sub, prev, ref)
+            descent = (np.abs(sub.w * retract(sub, ref.x)).sum()
+                       <= sub.ref_objective + sub.mu_k)
+            if kkt <= eps_k and descent:
+                accepted_at = it
+                break
+            rejected.append(it)
+        assert info["ok"] and accepted_at == info["iterations"]
+        assert rejected, "no sweep on which the lie could have certified"
+        assert info["exact_checks"] == len(rejected) + 1
+        assert cert.kkt_residual <= eps_k
 
     def test_iteration_cap_reports_failure(self):
         sub = build_random_sub(5, 12, seed=4, eps_k=-1.0)
