@@ -14,19 +14,19 @@ from .losses import (AssumptionReport, LossKind, LossSpec, PenaltySpec,
                      constraint_grad, constraint_value, validate_assumptions)
 from .linalg import (least_norm_solution, lambda_max_gram, project_l2_ball,
                      project_weighted_l1_ball, soft_threshold)
-from .admm import AdmmConfig, AdmmEngine, AdmmState, admm_solve, admm_step
-from .spg import SpgConfig, SpgEngine, SpgState, pareto_newton, spg_lasso
+from .admm import AdmmState, admm_solve, admm_step
+from .spg import SpgState, pareto_newton, spg_lasso
 from .harness import (InstanceSpec, Metrics, TrialRecord, compute_metrics,
                       generate_instance, run_batch, run_trial)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmConfig", "AdmmEngine", "AdmmState", "AssumptionReport", "DirConfig",
-    "InexactCertificate", "InstanceSpec", "LossKind", "LossSpec", "Metrics",
-    "PenaltySpec", "ProblemInstance", "RunResult", "RunStatus", "SpgConfig",
-    "SpgEngine", "SpgState", "StationarityReport", "SubproblemData",
-    "TrialRecord", "admm_solve", "admm_step", "available_engines",
+    "AdmmState", "AssumptionReport", "DirConfig", "InexactCertificate",
+    "InstanceSpec", "LossKind", "LossSpec", "Metrics", "PenaltySpec",
+    "ProblemInstance", "RunResult", "RunStatus", "SpgState",
+    "StationarityReport", "SubproblemData", "TrialRecord", "admm_solve",
+    "admm_step", "available_engines",
     "build_subproblem", "compute_metrics", "constraint_grad",
     "constraint_value", "generate_instance", "lambda_max_gram",
     "least_norm_solution", "pareto_newton", "project_l2_ball",

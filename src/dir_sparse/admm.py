@@ -26,23 +26,13 @@ from .core import retract  # noqa: F401
 from .linalg import project_l2_ball, soft_threshold
 
 
-@dataclass(frozen=True)
-class AdmmConfig:
-    """Engine parameters.
-
-    The dual step factor gamma must stay below (1 + sqrt(5)) / 2.  The
-    penalty beta and the proximal coefficient are not free parameters:
-    they are recomputed for every subproblem as beta = Lbar**-0.5 and
-    prox = Lbar * beta from the scaled Gram bound Lbar, which keeps the
-    proximal term positive semidefinite.
-    """
-
-    gamma: float = 0.99 * (1.0 + math.sqrt(5.0)) / 2.0
-    max_inner: int = 100_000
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < (1.0 + math.sqrt(5.0)) / 2.0:
-            raise ValueError("gamma must lie in (0, (1+sqrt(5))/2)")
+# Dual step factor; convergence needs 0 < gamma < (1 + sqrt(5)) / 2.  The
+# penalty beta and the proximal coefficient are not free parameters: they are
+# recomputed for every subproblem as beta = Lbar**-0.5 and prox = Lbar * beta
+# from the scaled Gram bound Lbar, which keeps the proximal term positive
+# semidefinite.
+_GAMMA = 0.99 * (1.0 + math.sqrt(5.0)) / 2.0
+_MAX_INNER = 100_000
 
 
 @dataclass
@@ -78,12 +68,12 @@ def _advance(sub, x, g, lam, L_bar, beta, gamma):
     return x_new, Akx_new, z, u_new, lam_new, r
 
 
-def admm_step(state: AdmmState, sub: SubproblemData, cfg: AdmmConfig) -> AdmmState:
+def admm_step(state: AdmmState, sub: SubproblemData) -> AdmmState:
     """Apply one ADMM sweep to ``state`` and return the advanced state."""
     L_bar, beta, _ = _scaling(sub)
     g = _gradient(sub, sub.matvec(state.x), state.u, state.lam, beta)
     x_new, _, _, u_new, lam_new, _ = _advance(
-        sub, state.x, g, state.lam, L_bar, beta, cfg.gamma)
+        sub, state.x, g, state.lam, L_bar, beta, _GAMMA)
     return AdmmState(x=x_new, u=u_new, lam=lam_new, iteration=state.iteration + 1)
 
 
@@ -113,8 +103,7 @@ def _ball_multiplier(z: np.ndarray, sigma_bar: float, beta: float) -> float:
     return beta * (nz - sigma_bar) / sigma_bar
 
 
-def admm_solve(sub: SubproblemData, warm: AdmmState | None = None,
-               cfg: AdmmConfig | None = None):
+def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     """Iterate ADMM until the subproblem certificate is accepted.
 
     Acceptance requires the optimality surrogate and the coupling residual
@@ -137,11 +126,9 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None,
     Returns ``(certificate, state, info)`` where ``info`` carries the
     iteration count, the acceptance flag, the trajectory minimum of the
     optimality surrogate and the number of exact surrogate checks, each of
-    which also checked descent.  On
-    hitting ``max_inner`` the certificate of the last iterate is returned
-    with ``info["ok"] = False``.
+    which also checked descent.  After ``_MAX_INNER`` sweeps the
+    certificate of the last iterate is returned with ``info["ok"] = False``.
     """
-    cfg = cfg or AdmmConfig()
     n = sub.w.shape[0]
     m = sub.b_w.shape[0]
     if warm is None:
@@ -151,7 +138,7 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None,
                           iteration=warm.iteration)
 
     L_bar, beta, lam_prox = _scaling(sub)
-    gamma = cfg.gamma
+    gamma = _GAMMA
     x, u, lam = state.x, state.u, state.lam
     Akx = sub.matvec(x)
     g = _gradient(sub, Akx, u, lam, beta)
@@ -169,7 +156,7 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None,
     z = Akx - sub.b_w
     it = 0
 
-    for it in range(1, cfg.max_inner + 1):
+    for it in range(1, _MAX_INNER + 1):
         x_new, Akx_new, z, u_new, lam_new, r = _advance(
             sub, x, g, lam, L_bar, beta, gamma)
         g = _gradient(sub, Akx_new, u_new, lam_new, beta)
@@ -179,7 +166,7 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None,
         dx = x_new - x
         kkt = _carried_kkt(q_new, q, dx, beta, L_bar)
         coupling = float(np.linalg.norm(r))
-        exact = (kkt <= eps_k and coupling <= eps_k) or it == cfg.max_inner
+        exact = (kkt <= eps_k and coupling <= eps_k) or it == _MAX_INNER
         if exact:
             kkt = _exact_kkt(sub, Akx_new - Akx, u_new - u, dx, beta, lam_prox)
             exact_checks += 1
@@ -207,21 +194,5 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None,
     return cert, out_state, info
 
 
-class AdmmEngine:
-    """Engine adapter used by the outer loop."""
-
-    certified = True
-
-    def __init__(self, cfg: AdmmConfig | None = None):
-        self.cfg = cfg or AdmmConfig()
-
-    def solve(self, sub: SubproblemData, warm):
-        cert, state, info = admm_solve(sub, warm, self.cfg)
-        return cert, state, info["iterations"], info["ok"]
-
-
-def _make_admm_engine(config) -> AdmmEngine:
-    return AdmmEngine(getattr(config, "admm", None))
-
-
-register_engine("admm", _make_admm_engine)
+# Looked up at call time, so a wrapper installed on admm_solve sees the calls.
+register_engine("admm", lambda sub, warm: admm_solve(sub, warm), certified=True)

@@ -63,7 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _engines_known(names) -> bool:
+    """Report the first unregistered engine name on stderr; False if any."""
+    known = available_engines()
+    for name in names:
+        if name not in known:
+            print(f"unknown engine {name!r}; available: {known}", file=sys.stderr)
+            return False
+    return True
+
+
 def _cmd_solve(args) -> int:
+    if not _engines_known([args.engine]):
+        return 2
     A = fileio.load_matrix(args.matrix)
     b = fileio.load_vector(args.rhs)
     loss = LossSpec(args.loss, args.delta)
@@ -91,11 +103,8 @@ def _cmd_bench(args) -> int:
     spec = InstanceSpec(m=m, n=n, s=s, delta=args.delta,
                         epsilon=args.penalty_eps, seed=args.seed)
     engines = [name.strip() for name in args.engines.split(",") if name.strip()]
-    known = available_engines()
-    for name in engines:
-        if name not in known:
-            print(f"unknown engine {name!r}; available: {known}", file=sys.stderr)
-            return 2
+    if not _engines_known(engines):
+        return 2
     config = DirConfig(outer_tol=args.tol)
     records, aggregates = run_batch([spec], engines, args.trials,
                                     config=config, max_workers=args.workers)

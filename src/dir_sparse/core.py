@@ -11,11 +11,10 @@ current one.
 
 from dataclasses import dataclass
 from enum import Enum
-import importlib
 import json
 import time
 import warnings
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,14 +33,6 @@ class RunStatus(str, Enum):
     MAX_ITERATIONS = "max-iterations"
     SUBPROBLEM_FAILURE = "subproblem-failure"
     CERTIFICATE_VIOLATION = "certificate-violation"
-
-
-def default_tau_schedule(k: int) -> float:
-    return max(5.0 ** (-k - 1), 1e-8)
-
-
-def default_mu_schedule(k: int) -> float:
-    return max(1.2 ** (-k - 1), 1e-8)
 
 
 @dataclass(frozen=True)
@@ -185,65 +176,55 @@ class RunResult:
 class DirConfig:
     """Outer-loop configuration.
 
-    Schedules must be module-level callables if runs are to be dispatched
-    across processes.  ``engine`` names a registered subproblem engine;
-    the built-ins are "admm", "spg" (both certified) and "spg-blackbox".
+    ``engine`` names a registered subproblem engine; the built-ins are
+    "admm", "spg" (both certified) and "spg-blackbox".
     """
 
     engine: str = "admm"
     outer_tol: float = 1e-4
     max_outer: int = 1000
-    tau_schedule: Callable[[int], float] = default_tau_schedule
-    mu_schedule: Callable[[int], float] = default_mu_schedule
-    admm: Optional[object] = None   # AdmmConfig; engine default when None
-    spg: Optional[object] = None    # SpgConfig; engine default when None
 
 
 _ENGINES = {}
-_BUILTIN_ENGINE_MODULES = {
-    "admm": "dir_sparse.admm",
-    "spg": "dir_sparse.spg",
-    "spg-blackbox": "dir_sparse.spg",
-}
 
 
-def register_engine(name: str, factory) -> None:
-    """Register a subproblem engine factory under a CLI-usable name.
+def register_engine(name: str, solve, *, certified: bool) -> None:
+    """Register a subproblem engine under a CLI-usable name.
 
-    ``factory(config: DirConfig)`` must return an object with a boolean
-    ``certified`` attribute and a method
-    ``solve(sub, warm) -> (InexactCertificate, warm_state, inner_iters, ok)``.
-    External comparison solvers plug in through this hook.
+    ``solve(sub, warm)`` must return ``(InexactCertificate, state, info)``:
+    ``state`` is handed back as ``warm`` on the next outer iteration, and
+    ``info`` is a dict with at least ``"iterations"`` and ``"ok"``; its
+    other entries go into the history record.  A ``certified`` engine
+    promises that an ``ok`` answer meets the ``eps_k`` criteria, and
+    :func:`run_dir` checks that promise.  External comparison solvers plug
+    in through this hook.
     """
-    _ENGINES[name] = factory
+    _ENGINES[name] = (solve, bool(certified))
 
 
-def get_engine(name: str, config: "DirConfig"):
-    if name not in _ENGINES and name in _BUILTIN_ENGINE_MODULES:
-        importlib.import_module(_BUILTIN_ENGINE_MODULES[name])
+def get_engine(name: str):
+    """Return the ``(solve, certified)`` pair registered under ``name``."""
     try:
-        factory = _ENGINES[name]
+        return _ENGINES[name]
     except KeyError:
         raise ValueError(
             f"unknown engine {name!r}; registered: {sorted(_ENGINES)}") from None
-    return factory(config)
 
 
 def available_engines():
-    for mod in set(_BUILTIN_ENGINE_MODULES.values()):
-        importlib.import_module(mod)
     return sorted(_ENGINES)
 
 
-def build_subproblem(instance: ProblemInstance, x_k: np.ndarray, k: int,
-                     config: DirConfig) -> SubproblemData:
+def build_subproblem(instance: ProblemInstance, x_k: np.ndarray,
+                     k: int) -> SubproblemData:
     """Assemble the weighted BPDN subproblem at the feasible point x_k.
 
     The weights are the right derivatives of the penalty at |x_k|; the row
     scalings are sqrt of the loss right derivatives at the squared
     residuals; the radius sigma_k absorbs the majorization offset so that
     feasibility for the subproblem implies feasibility for the original
-    constraint.
+    constraint.  The accuracy target tau_k = max(5**-(k+1), 1e-8) and the
+    descent allowance mu_k = max(1.2**-(k+1), 1e-8) shrink geometrically.
     """
     y = instance.b - instance.A @ x_k
     phi_vals = instance.loss.value(y * y)
@@ -264,8 +245,8 @@ def build_subproblem(instance: ProblemInstance, x_k: np.ndarray, k: int,
             f"iteration {k}", RuntimeWarning)
         sigma_k = _SIGMA_K_CLAMP * instance.sigma
 
-    tau_k = config.tau_schedule(k)
-    mu_k = config.mu_schedule(k)
+    tau_k = max(5.0 ** (-k - 1), 1e-8)
+    mu_k = max(1.2 ** (-k - 1), 1e-8)
     eps_k = min(sigma_k, np.sqrt(sigma_k), tau_k)
     return SubproblemData(instance=instance, k=k, x_k=np.asarray(x_k, float),
                           w=w, v=v, b_w=v * instance.b, sigma_k=float(sigma_k),
@@ -336,7 +317,7 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
     result holds the iterations before it.
     """
     config = config or DirConfig()
-    engine = get_engine(config.engine, config)
+    solve, certified = get_engine(config.engine)
 
     if x0 is None:
         x = instance.least_norm.copy()
@@ -355,9 +336,10 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
 
     for k in range(config.max_outer):
         tic = time.perf_counter()
-        sub = build_subproblem(instance, x, k, config)
-        cert, warm, inner, ok = engine.solve(sub, warm)
-        if engine.certified and ok and not cert.criteria_met(sub.eps_k):
+        sub = build_subproblem(instance, x, k)
+        cert, warm, info = solve(sub, warm)
+        ok = bool(info["ok"])
+        if certified and ok and not cert.criteria_met(sub.eps_k):
             status = RunStatus.CERTIFICATE_VIOLATION
             break
 
@@ -368,7 +350,7 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
         psi_next = instance.objective(x_next)
         constraint_next = instance.constraint(x_next)
 
-        history.append({
+        record = {
             "k": k,
             "sigma_k": sub.sigma_k,
             "eps_k": sub.eps_k,
@@ -378,12 +360,12 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
             "objective_next": psi_next,
             "constraint": constraint_curr,
             "constraint_next": constraint_next,
-            "inner_iterations": int(inner),
+            "inner_iterations": int(info["iterations"]),
             "kkt_residual": cert.kkt_residual,
             "coupling_residual": cert.coupling_residual,
             "descent_ok": bool(cert.descent_ok),
             "multiplier": cert.multiplier,
-            "criteria_enforced": bool(engine.certified and ok),
+            "criteria_enforced": certified and ok,
             "subproblem_residual": sub_residual,
             "retraction_displacement": float(np.linalg.norm(
                 x_next - cert.x_tilde)),
@@ -392,7 +374,11 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
             "step_norm": step,
             "rel_step": rel_step,
             "elapsed_seconds": time.perf_counter() - tic,
-        })
+        }
+        for key, val in info.items():
+            if key not in ("iterations", "ok"):
+                record.setdefault(key, val)
+        history.append(record)
 
         zeta = cert.x_tilde
         last_mult = cert.multiplier

@@ -9,6 +9,7 @@ Two array formats are supported and sniffed automatically on read:
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -49,12 +50,21 @@ def read_array_binary(path) -> np.ndarray:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        rows, cols = np.frombuffer(fh.read(16), dtype="<u8")
-        payload = fh.read(int(rows) * int(cols) * 8)
-    data = np.frombuffer(payload, dtype="<f8")
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated payload")
-    return data.reshape(int(rows), int(cols)).copy()
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError(f"{path}: truncated header, {len(header)} of 16 "
+                             f"dimension bytes")
+        rows = int.from_bytes(header[:8], "little")
+        cols = int.from_bytes(header[8:], "little")
+        # Python ints: absurd dimensions cannot overflow, and nothing is
+        # allocated before the file is known to hold that many bytes.
+        expected = rows * cols * 8
+        present = os.fstat(fh.fileno()).st_size - fh.tell()
+        if present != expected:
+            raise ValueError(f"{path}: header says {rows}x{cols} float64 "
+                             f"({expected} bytes), file holds {present}")
+        payload = fh.read(expected)
+    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
 def load_array(path) -> np.ndarray:

@@ -92,6 +92,11 @@ def project_weighted_l1_ball(y: np.ndarray, w: np.ndarray, tau: float) -> np.nda
     # Valid candidate: theta_j >= next breakpoint, so coordinates j+1.. stay
     # inactive.  The first such j gives the exact multiplier.
     nxt = np.append(zs[1:], 0.0)
-    j = int(np.argmax(theta_cand >= nxt))
+    valid = theta_cand >= nxt
+    if not valid.any():
+        # The cumulative sum puts y inside the ball where the dot product
+        # above did not: y is feasible up to rounding.
+        return y.copy()
+    j = int(np.argmax(valid))
     theta = float(theta_cand[j])
     return np.sign(y) * np.maximum(a - theta * w, 0.0)

@@ -19,27 +19,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InexactCertificate, SubproblemData, register_engine, retract
+from .core import InexactCertificate, SubproblemData, _retract, register_engine
+# The benchmark's tracer wraps dir_sparse.spg.retract by that name, so it
+# stays importable here although the descent check goes through _retract.
+from .core import retract  # noqa: F401
 from .linalg import project_weighted_l1_ball
 
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class SpgConfig:
-    alpha_min: float = 1e-10
-    alpha_max: float = 1e10
-    nonmonotone_memory: int = 10
-    armijo_const: float = 1e-4
-    lasso_tol: float = 1e-6
-    lasso_tol_certified: float = 1e-9
-    max_newton: int = 50
-    max_spg_per_lasso: int = 20_000
-    max_escalations: int = 4
-
-    def __post_init__(self):
-        if not 0 < self.alpha_min <= self.alpha_max:
-            raise ValueError("require 0 < alpha_min <= alpha_max")
+# Barzilai-Borwein step bounds, Armijo constant, nonmonotone memory and
+# iteration cap of spg_lasso.
+_ALPHA_MIN = 1e-10
+_ALPHA_MAX = 1e10
+_ARMIJO_CONST = 1e-4
+_NONMONOTONE_MEMORY = 10
+_MAX_SPG_PER_LASSO = 20_000
+# LASSO tolerance in blackbox mode, and the starting one in certified mode.
+_LASSO_TOL = 1e-6
+_LASSO_TOL_CERTIFIED = 1e-9
+_MAX_NEWTON = 50
+# Times certified mode tightens the LASSO tolerance tenfold before failing.
+_MAX_ESCALATIONS = 4
 
 
 @dataclass
@@ -61,13 +60,14 @@ def _projection_multiplier(y, x_proj, w):
 
 
 def spg_lasso(sub: SubproblemData, tau: float, warm=None,
-              cfg: SpgConfig | None = None, tol: float | None = None):
+              tol: float | None = None):
     """Approximately minimize 0.5 ||A_k x - b_w||^2 over ||w o x||_1 <= tau.
 
     Projected gradient iterations with BB step sizes clamped to
-    [alpha_min, alpha_max] and an Armijo backtracking test against the max
-    of the last ``nonmonotone_memory`` objective values.  Stops when the
-    relative step or the relative duality gap reaches ``tol``, confirmed by
+    [_ALPHA_MIN, _ALPHA_MAX] and an Armijo backtracking test against the max
+    of the last ``_NONMONOTONE_MEMORY`` objective values.  Stops when the
+    relative step or the relative duality gap reaches ``tol`` (default
+    ``_LASSO_TOL``), confirmed by
     the unit-step fixed-point residual staying within 10 * tol.
 
     Returns ``(x, lasso_multiplier, iterations, converged)``.  The
@@ -78,8 +78,7 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
     size of the last accepted move, whose projection may have been
     inactive).
     """
-    cfg = cfg or SpgConfig()
-    tol = cfg.lasso_tol if tol is None else tol
+    tol = _LASSO_TOL if tol is None else tol
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     w = sub.w
@@ -92,15 +91,14 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
     r = sub.b_w - sub.matvec(x)
     f = 0.5 * float(r @ r)
     g = -sub.rmatvec(r)
-    alpha = min(cfg.alpha_max, max(cfg.alpha_min,
-                                   1.0 / max(np.abs(g).max(), _TINY)))
-    recent = deque([f], maxlen=max(cfg.nonmonotone_memory, 1))
+    alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, 1.0 / max(np.abs(g).max(), _TINY)))
+    recent = deque([f], maxlen=_NONMONOTONE_MEMORY)
     lam = 0.0
     converged = False
     it = 0
 
     f_noise = 10.0 * np.finfo(float).eps
-    for it in range(1, cfg.max_spg_per_lasso + 1):
+    for it in range(1, _MAX_SPG_PER_LASSO + 1):
         f_ref = max(recent)
         # Allowance for float cancellation in f; without it the test can
         # never pass near a fixed point and backtracking kills the step.
@@ -111,7 +109,7 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
             x_new = project_weighted_l1_ball(y, w, tau)
             r_new = sub.b_w - sub.matvec(x_new)
             f_new = 0.5 * float(r_new @ r_new)
-            if f_new <= f_ref + cfg.armijo_const * float(g @ (x_new - x)) + slack:
+            if f_new <= f_ref + _ARMIJO_CONST * float(g @ (x_new - x)) + slack:
                 break
             step *= 0.5
         g_new = -sub.rmatvec(r_new)
@@ -132,9 +130,9 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
         dg = g_new - g
         sy = float(dx @ dg)
         if sy > _TINY:
-            alpha = min(cfg.alpha_max, max(cfg.alpha_min, float(dx @ dx) / sy))
+            alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, float(dx @ dx) / sy))
         else:
-            alpha = cfg.alpha_max
+            alpha = _ALPHA_MAX
         x, r, f, g = x_new, r_new, f_new, g_new
         recent.append(f)
 
@@ -164,7 +162,8 @@ def _certificate(sub: SubproblemData, x, lasso_multiplier):
     the reciprocal LASSO multiplier by rho / sigma_bar, which makes the
     KKT inclusion algebraically exact at an exact LASSO optimum.
     """
-    res = sub.matvec(x) - sub.b_w
+    Akx = sub.matvec(x)
+    res = Akx - sub.b_w
     rho = float(np.linalg.norm(res))
     sigma_bar = sub.sigma_bar
     if rho > 0.0:
@@ -179,7 +178,7 @@ def _certificate(sub: SubproblemData, x, lasso_multiplier):
     dist = np.where(x != 0.0,
                     np.abs(sub.w * np.sign(x) + q),
                     np.maximum(np.abs(q) - sub.w, 0.0))
-    pulled = retract(sub, x)
+    pulled, _ = _retract(sub, x, Akx)
     descent_ok = bool(np.abs(sub.w * pulled).sum() <= sub.ref_objective + sub.mu_k)
     return InexactCertificate(
         x_tilde=x, u_tilde=u, multiplier=mult,
@@ -189,7 +188,7 @@ def _certificate(sub: SubproblemData, x, lasso_multiplier):
 
 
 def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
-                  cfg: SpgConfig | None = None, mode: str = "certified"):
+                  mode: str = "certified"):
     """Find the subproblem solution by Newton steps on the Pareto curve.
 
     Starts at tau = 0 (whose LASSO solution is exactly 0) and iterates
@@ -200,10 +199,9 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
 
     Returns ``(certificate, state, info)``.  In certified mode the
     certificate bounds are enforced by tightening the LASSO tolerance up
-    to ``max_escalations`` times; ``info["ok"]`` reports the outcome.  In
+    to ``_MAX_ESCALATIONS`` times; ``info["ok"]`` reports the outcome.  In
     blackbox mode the bounds are recorded but never enforced.
     """
-    cfg = cfg or SpgConfig()
     if mode not in ("certified", "blackbox"):
         raise ValueError(f"unknown mode {mode!r}")
     certified = mode == "certified"
@@ -214,7 +212,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
             "degenerate subproblem: x = 0 is already feasible (the Pareto "
             "root is tau = 0), which the standing assumptions rule out")
 
-    lasso_tol = cfg.lasso_tol_certified if certified else cfg.lasso_tol
+    lasso_tol = _LASSO_TOL_CERTIFIED if certified else _LASSO_TOL
     mach_slack = 50.0 * np.finfo(float).eps * max(1.0, b_norm)
     root_tol = max(1e-6 * sigma_bar, mach_slack)
     if certified:
@@ -238,13 +236,13 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     ok = not certified
     cert = None
 
-    for _ in range(cfg.max_newton):
+    for _ in range(_MAX_NEWTON):
         if abs(phi - sigma_bar) <= root_tol:
             cert = _certificate(sub, x, lasso_multiplier)
             if not certified or cert.criteria_met(sub.eps_k):
                 ok = True
                 break
-            if escalations >= cfg.max_escalations:
+            if escalations >= _MAX_ESCALATIONS:
                 ok = False
                 break
             escalations += 1
@@ -263,7 +261,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
                             else max(2.0 * tau, 1.0))
 
         x0 = x if tau > 0.0 else (warm_x if warm_x is not None else x)
-        x, lasso_multiplier, iters, _ = spg_lasso(sub, tau_next, x0, cfg,
+        x, lasso_multiplier, iters, _ = spg_lasso(sub, tau_next, x0,
                                                   tol=lasso_tol)
         total_inner += iters
         newton_steps += 1
@@ -287,26 +285,10 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     return cert, state, info
 
 
-class SpgEngine:
-    """Engine adapter; certified or blackbox depending on mode."""
-
-    def __init__(self, cfg: SpgConfig | None = None, mode: str = "certified"):
-        self.cfg = cfg or SpgConfig()
-        self.mode = mode
-        self.certified = mode == "certified"
-
-    def solve(self, sub: SubproblemData, warm):
-        cert, state, info = pareto_newton(sub, warm, self.cfg, self.mode)
-        return cert, state, info["iterations"], info["ok"]
-
-
-def _make_spg_engine(config) -> SpgEngine:
-    return SpgEngine(getattr(config, "spg", None), mode="certified")
-
-
-def _make_spg_blackbox_engine(config) -> SpgEngine:
-    return SpgEngine(getattr(config, "spg", None), mode="blackbox")
-
-
-register_engine("spg", _make_spg_engine)
-register_engine("spg-blackbox", _make_spg_blackbox_engine)
+# Looked up at call time, so a wrapper installed on pareto_newton sees the
+# calls.
+register_engine("spg", lambda sub, warm: pareto_newton(sub, warm),
+                certified=True)
+register_engine("spg-blackbox",
+                lambda sub, warm: pareto_newton(sub, warm, "blackbox"),
+                certified=False)

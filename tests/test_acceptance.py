@@ -13,9 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from dir_sparse import (AdmmConfig, DirConfig, InstanceSpec, LossKind,
-                        LossSpec, PenaltySpec, SpgConfig, admm_solve,
-                        build_subproblem, compute_metrics, constraint_grad,
+from dir_sparse import (DirConfig, InstanceSpec, LossKind, LossSpec,
+                        PenaltySpec, admm_solve, build_subproblem,
+                        compute_metrics, constraint_grad,
                         constraint_value, generate_instance, pareto_newton,
                         project_weighted_l1_ball, run_dir)
 from dir_sparse.core import ProblemInstance, SubproblemData
@@ -166,7 +166,7 @@ def _tiny_subproblem(seed):
     cap = float(np.sum(loss.value(b * b)))
     sigma = min(1.5 * float(np.sum(loss.value(noise * noise))) + 0.05, 0.9 * cap)
     instance = ProblemInstance.build(A, b, sigma, loss, PenaltySpec(0.2))
-    sub = build_subproblem(instance, instance.least_norm, 0, DirConfig())
+    sub = build_subproblem(instance, instance.least_norm, 0)
     sub.eps_k = 1e-9
     return sub
 
@@ -269,7 +269,7 @@ def test_criterion_6_admm_oracle_equivalence():
     worst = 0.0
     for seed in range(20):
         sub = _tiny_subproblem(100 + seed)
-        cert, state, info = admm_solve(sub, None, AdmmConfig())
+        cert, state, info = admm_solve(sub, None)
         assert info["ok"], f"tiny ADMM solve {seed} did not certify"
         got = float(np.abs(sub.w * cert.x_tilde).sum())
         want = _grid_oracle_objective(sub)
@@ -318,7 +318,7 @@ def test_criterion_8_pareto_newton_analytic():
                          w=np.array([1.0]), v=np.array([1.0]),
                          b_w=np.array([2.0]), sigma_k=1.0, eps_k=1e-6,
                          mu_k=0.5, tau_k=1e-6)
-    cert, state, info = pareto_newton(sub, None, SpgConfig(), "certified")
+    cert, state, info = pareto_newton(sub, None, "certified")
     ok = info["newton_steps"] <= 2 and abs(state.tau - 1.0) <= 1e-12 \
         and info["ok"]
     _verdict(8, ok,

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dir_sparse import (AdmmConfig, AdmmState, DirConfig, LossKind, LossSpec,
-                        PenaltySpec, admm_solve, admm_step, build_subproblem,
-                        retract)
+from dir_sparse import (AdmmState, LossKind, LossSpec, PenaltySpec, admm_solve,
+                        admm_step, build_subproblem, retract)
 from dir_sparse import admm as admm_module
 from dir_sparse.admm import _ball_multiplier
 from dir_sparse.core import ProblemInstance, SubproblemData
@@ -31,7 +30,7 @@ def fabricate_sub(A, b, w, v, sigma_k, eps_k=0.5, mu_k=0.5, tau_k=0.5,
 
 def build_random_sub(m, n, seed, eps_k=None):
     inst = make_instance(m, n, seed=seed)
-    sub = build_subproblem(inst, inst.least_norm, 0, DirConfig())
+    sub = build_subproblem(inst, inst.least_norm, 0)
     if eps_k is not None:
         sub.eps_k = eps_k
     return sub
@@ -41,7 +40,7 @@ class TestStep:
     def test_zero_fixed_point(self):
         sub = fabricate_sub(A=[[1.0]], b=[0.0], w=[1.0], v=[1.0], sigma_k=1.0)
         state = AdmmState(x=np.zeros(1), u=np.zeros(1), lam=np.zeros(1))
-        out = admm_step(state, sub, AdmmConfig())
+        out = admm_step(state, sub)
         np.testing.assert_array_equal(out.x, 0.0)
         np.testing.assert_array_equal(out.u, 0.0)
         np.testing.assert_array_equal(out.lam, 0.0)
@@ -51,18 +50,18 @@ class TestStep:
         # any state whose post-update residual vanishes leaves lam unchanged
         sub = fabricate_sub(A=[[1.0]], b=[0.0], w=[1.0], v=[1.0], sigma_k=1.0)
         state = AdmmState(x=np.zeros(1), u=np.zeros(1), lam=np.array([0.3]))
-        out = admm_step(state, sub, AdmmConfig())
+        out = admm_step(state, sub)
         # u-update absorbs A x - b_w - lam/beta exactly when inside the ball
         resid = sub.matvec(out.x) - sub.b_w - out.u
         np.testing.assert_allclose(out.lam, state.lam
-                                   - AdmmConfig().gamma * resid / math.sqrt(
+                                   - admm_module._GAMMA * resid / math.sqrt(
                                        sub.gram_bound()), rtol=1e-12)
 
     def test_u_stays_in_ball(self):
         sub = build_random_sub(4, 10, seed=0)
         state = AdmmState(x=np.zeros(10), u=np.zeros(4), lam=np.zeros(4))
         for _ in range(50):
-            state = admm_step(state, sub, AdmmConfig())
+            state = admm_step(state, sub)
             assert np.linalg.norm(state.u) <= sub.sigma_bar + 1e-12
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -77,7 +76,7 @@ class TestStep:
         sub = fabricate_sub(A=A, b=b, w=w, v=v, sigma_k=1.0)
         state = AdmmState(x=rng.standard_normal(n), u=0.1 * rng.standard_normal(n),
                           lam=0.1 * rng.standard_normal(n))
-        out = admm_step(state, sub, AdmmConfig())
+        out = admm_step(state, sub)
 
         L_bar = sub.gram_bound()
         beta = L_bar ** -0.5
@@ -111,22 +110,22 @@ class TestStep:
 
 
 class TestSolve:
-    def test_trajectory_matches_repeated_steps(self):
+    def test_trajectory_matches_repeated_steps(self, monkeypatch):
         sub = build_random_sub(4, 10, seed=1, eps_k=-1.0)  # never accept
-        cfg = AdmmConfig(max_inner=40)
-        cert, state, info = admm_solve(sub, None, cfg)
+        monkeypatch.setattr(admm_module, "_MAX_INNER", 40)
+        cert, state, info = admm_solve(sub, None)
         assert info["iterations"] == 40 and not info["ok"]
 
         ref = AdmmState(x=np.zeros(10), u=np.zeros(4), lam=np.zeros(4))
         for _ in range(40):
-            ref = admm_step(ref, sub, cfg)
+            ref = admm_step(ref, sub)
         np.testing.assert_array_equal(state.x, ref.x)
         np.testing.assert_array_equal(state.u, ref.u)
         np.testing.assert_array_equal(state.lam, ref.lam)
 
     def test_certificate_thresholds_enforced(self):
         sub = build_random_sub(5, 12, seed=2)
-        cert, state, info = admm_solve(sub, None, AdmmConfig())
+        cert, state, info = admm_solve(sub, None)
         assert info["ok"]
         assert cert.kkt_residual <= sub.eps_k
         assert cert.coupling_residual <= sub.eps_k
@@ -137,7 +136,7 @@ class TestSolve:
     def test_anchor_optimal_still_terminates_with_descent(self):
         # descent holds at the optimum because the anchor is feasible
         sub = build_random_sub(5, 12, seed=3)
-        cert, _, info = admm_solve(sub, None, AdmmConfig())
+        cert, _, info = admm_solve(sub, None)
         assert info["ok"]
         pulled = retract(sub, cert.x_tilde)
         assert np.abs(sub.w * pulled).sum() \
@@ -154,15 +153,17 @@ class TestSolve:
                 return _orig(self, z)
             monkeypatch.setattr(SubproblemData, name, counted)
         sub = build_random_sub(5, 12, seed=4, eps_k=-1.0)
-        _, warm, _ = admm_solve(sub, None, AdmmConfig(max_inner=5))
+        monkeypatch.setattr(admm_module, "_MAX_INNER", 5)
+        _, warm, _ = admm_solve(sub, None)
         assert warm.lam.any()
         for N in (20, 40):
+            monkeypatch.setattr(admm_module, "_MAX_INNER", N)
             calls.clear()
-            admm_solve(sub, None, AdmmConfig(max_inner=N))
+            admm_solve(sub, None)
             assert calls.count("matvec") == N + 1
             assert calls.count("rmatvec") == N + 2
             calls.clear()
-            admm_solve(sub, warm, AdmmConfig(max_inner=N))
+            admm_solve(sub, warm)
             assert calls.count("matvec") == N + 1
             assert calls.count("rmatvec") == N + 3
 
@@ -185,19 +186,18 @@ class TestSolve:
         eps_k while the exact surrogate does not.
         """
         inst, _ = desk_instance
-        cfg = DirConfig(engine="admm")
-        sub0 = build_subproblem(inst, inst.least_norm, 0, cfg)
-        cert0, warm, _ = admm_solve(sub0, None, AdmmConfig())
-        return build_subproblem(inst, retract(sub0, cert0.x_tilde), 1, cfg), warm
+        sub0 = build_subproblem(inst, inst.least_norm, 0)
+        cert0, warm, _ = admm_solve(sub0, None)
+        return build_subproblem(inst, retract(sub0, cert0.x_tilde), 1), warm
 
     def test_certificate_kkt_recomputed_exactly(self, desk_instance):
         sub, warm = self._second_subproblem(desk_instance)
-        cert, state, info = admm_solve(sub, warm, AdmmConfig())
+        cert, state, info = admm_solve(sub, warm)
         assert info["ok"] and warm.lam.any()
 
         prev = ref = warm
         for _ in range(info["iterations"]):
-            prev, ref = ref, admm_step(ref, sub, AdmmConfig())
+            prev, ref = ref, admm_step(ref, sub)
         np.testing.assert_array_equal(ref.x, state.x)
         want = self._exact_surrogate(sub, prev, ref)
         assert cert.kkt_residual == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -208,7 +208,7 @@ class TestSolve:
         # coupling passes becomes a candidate; only the exact check may accept.
         sub, warm = self._second_subproblem(desk_instance)
         monkeypatch.setattr(admm_module, "_carried_kkt", lambda *args: 0.0)
-        cert, state, info = admm_solve(sub, warm, AdmmConfig())
+        cert, state, info = admm_solve(sub, warm)
 
         # Replay: the first sweep that passes the exact tests is the answer.
         eps_k = sub.eps_k
@@ -216,7 +216,7 @@ class TestSolve:
         rejected = []
         accepted_at = None
         for it in range(1, info["iterations"] + 1):
-            prev, ref = ref, admm_step(ref, sub, AdmmConfig())
+            prev, ref = ref, admm_step(ref, sub)
             coupling = float(np.linalg.norm(sub.matvec(ref.x) - sub.b_w - ref.u))
             if coupling > eps_k:
                 continue
@@ -232,17 +232,19 @@ class TestSolve:
         assert info["exact_checks"] == len(rejected) + 1
         assert cert.kkt_residual <= eps_k
 
-    def test_iteration_cap_reports_failure(self):
+    def test_iteration_cap_reports_failure(self, monkeypatch):
         sub = build_random_sub(5, 12, seed=4, eps_k=-1.0)
-        cert, state, info = admm_solve(sub, None, AdmmConfig(max_inner=10))
+        monkeypatch.setattr(admm_module, "_MAX_INNER", 10)
+        cert, state, info = admm_solve(sub, None)
         assert not info["ok"]
         assert info["iterations"] == 10
         assert math.isfinite(cert.kkt_residual)
 
-    def test_objective_matches_cvxpy_reference(self):
+    def test_objective_matches_cvxpy_reference(self, monkeypatch):
         cvxpy = pytest.importorskip("cvxpy")
         sub = build_random_sub(4, 10, seed=0, eps_k=-1.0)
-        cert, state, info = admm_solve(sub, None, AdmmConfig(max_inner=5000))
+        monkeypatch.setattr(admm_module, "_MAX_INNER", 5000)
+        cert, state, info = admm_solve(sub, None)
         got = float(np.abs(sub.w * state.x).sum())
 
         x = cvxpy.Variable(10)
@@ -256,13 +258,12 @@ class TestSolve:
 
     def test_warm_start_saves_iterations(self, desk_instance):
         inst, _ = desk_instance
-        cfg = DirConfig(engine="admm")
-        sub0 = build_subproblem(inst, inst.least_norm, 0, cfg)
-        cert0, state0, info0 = admm_solve(sub0, None, AdmmConfig())
+        sub0 = build_subproblem(inst, inst.least_norm, 0)
+        cert0, state0, info0 = admm_solve(sub0, None)
         x1 = retract(sub0, cert0.x_tilde)
-        sub1 = build_subproblem(inst, x1, 1, cfg)
-        _, _, info_warm = admm_solve(sub1, state0, AdmmConfig())
-        _, _, info_cold = admm_solve(sub1, None, AdmmConfig())
+        sub1 = build_subproblem(inst, x1, 1)
+        _, _, info_warm = admm_solve(sub1, state0)
+        _, _, info_cold = admm_solve(sub1, None)
         assert info_warm["ok"] and info_cold["ok"]
         assert info_warm["iterations"] < info_cold["iterations"]
 
@@ -272,12 +273,11 @@ class TestSolve:
         # solver may idle at the floor while coupling/descent catch up), or
         # the literal minimum falls in the last few iterations.
         inst, _ = desk_instance
-        cfg = DirConfig(engine="admm")
         x = inst.least_norm
         warm = None
         for k in range(5):
-            sub = build_subproblem(inst, x, k, cfg)
-            cert, warm, info = admm_solve(sub, warm, AdmmConfig())
+            sub = build_subproblem(inst, x, k)
+            cert, warm, info = admm_solve(sub, warm)
             assert info["ok"]
             near_end = info["best_kkt_iter"] >= info["iterations"] - 10
             tied = cert.kkt_residual <= 5.0 * info["best_kkt"]

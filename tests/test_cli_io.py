@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dir_sparse import InstanceSpec, generate_instance
 from dir_sparse import fileio
@@ -45,6 +48,26 @@ class TestArrayFormats:
         with pytest.raises(ValueError, match="magic"):
             fileio.read_array_binary(path)
 
+    def test_binary_short_header(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(fileio.MAGIC + b"\x03\x00\x00\x00\x00")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*header"):
+            fileio.read_array_binary(path)
+
+    def test_binary_absurd_dimensions(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        dims = (2 ** 32).to_bytes(8, "little") * 2
+        path.write_bytes(fileio.MAGIC + dims + b"\x00" * 16)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            fileio.read_array_binary(path)
+
+    def test_binary_short_payload(self, tmp_path):
+        path = tmp_path / "cut.bin"
+        fileio.write_array_binary(path, np.ones((3, 2)))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            fileio.read_array_binary(path)
+
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("2,2\n1.0,2.0\n")
@@ -56,6 +79,27 @@ class TestArrayFormats:
         fileio.write_array_csv(path, np.ones((3, 3)))
         with pytest.raises(ValueError, match="vector"):
             fileio.load_vector(path)
+
+
+@pytest.fixture(scope="module")
+def roundtrip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip")
+
+
+@settings(max_examples=60, deadline=None)
+@given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                   max_side=6)),
+       binary=st.booleans())
+def test_array_file_roundtrip(roundtrip_dir, arr, binary):
+    path = roundtrip_dir / ("a.bin" if binary else "a.csv")
+    write = fileio.write_array_binary if binary else fileio.write_array_csv
+    write(path, arr)
+    got = fileio.load_array(path)
+    assert got.shape == arr.shape
+    np.testing.assert_array_equal(got, arr)
+    # CSV writes every NaN as "nan", so only the signs of numbers must survive.
+    num = ~np.isnan(arr)
+    np.testing.assert_array_equal(np.signbit(got[num]), np.signbit(arr[num]))
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +156,16 @@ class TestSolveCli:
         with pytest.raises(ValueError, match=r"non-finite .* in A$"):
             main(["solve", "--matrix", str(nan_path), "--rhs", str(b_path),
                   "--sigma", str(inst.sigma), "--out", str(tmp / "nan.json")])
+
+    def test_solve_rejects_unknown_engine_before_reading(self, tmp_path, capsys):
+        # The files do not exist: reading either would raise, not return 2.
+        rc = main(["solve", "--matrix", str(tmp_path / "missing_A.csv"),
+                   "--rhs", str(tmp_path / "missing_b.csv"), "--sigma", "1.0",
+                   "--engine", "nope", "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown engine 'nope'; available: ['admm'," in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_solve_rejects_bad_loss(self, instance_files, capsys):
         tmp, inst, a_path, b_path = instance_files

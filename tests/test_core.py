@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dir_sparse
 from dir_sparse import (DirConfig, InexactCertificate, LossKind, LossSpec,
@@ -54,7 +56,7 @@ class TestProblemInstance:
 class TestBuildSubproblem:
     def test_interpolating_anchor_keeps_sigma(self):
         inst = make_instance(5, 12, seed=1)
-        sub = build_subproblem(inst, inst.least_norm, 0, DirConfig())
+        sub = build_subproblem(inst, inst.least_norm, 0)
         assert sub.sigma_k == pytest.approx(inst.sigma, rel=1e-12)
 
     def test_one_dim_worked_example(self):
@@ -62,7 +64,7 @@ class TestBuildSubproblem:
         # y=1, phi'(1)=1/2, sigma_k = 1 + 1/2 - log 2 (independent evaluation
         # froze 0.8068528194400547).
         inst = one_dim_instance()
-        sub = build_subproblem(inst, np.array([1.0]), 0, DirConfig())
+        sub = build_subproblem(inst, np.array([1.0]), 0)
         assert sub.sigma_k == pytest.approx(0.8068528194400547, abs=1e-15)
         np.testing.assert_allclose(sub.v, [math.sqrt(0.5)], rtol=1e-15)
         assert sub.eps_k == pytest.approx(min(sub.sigma_k, math.sqrt(sub.sigma_k), 0.2))
@@ -71,7 +73,7 @@ class TestBuildSubproblem:
         inst = make_instance(4, 9, seed=2, epsilon=0.1)
         # zero is infeasible for the original problem but the weight formula
         # is anchor-independent; use a feasible anchor with zero entries
-        sub = build_subproblem(inst, inst.least_norm, 0, DirConfig())
+        sub = build_subproblem(inst, inst.least_norm, 0)
         mask = inst.least_norm == 0.0
         np.testing.assert_allclose(sub.w[mask], 10.0)
         np.testing.assert_allclose(
@@ -82,13 +84,12 @@ class TestBuildSubproblem:
         bad = inst.least_norm + 100.0 * np.ones(12)
         assert not inst.is_feasible(bad)
         with pytest.raises(ValueError):
-            build_subproblem(inst, bad, 0, DirConfig())
+            build_subproblem(inst, bad, 0)
 
     def test_schedules_enter_subproblem(self):
         inst = make_instance(5, 12, seed=4)
-        cfg = DirConfig()
         for k in (0, 3, 40):
-            sub = build_subproblem(inst, inst.least_norm, k, cfg)
+            sub = build_subproblem(inst, inst.least_norm, k)
             assert sub.tau_k == pytest.approx(max(5.0 ** (-k - 1), 1e-8))
             assert sub.mu_k == pytest.approx(max(1.2 ** (-k - 1), 1e-8))
 
@@ -109,21 +110,21 @@ class TestBuildSubproblem:
         x_k = np.zeros(n)   # residuals = b, all beyond the Tukey cutoff
         assert inst.constraint(x_k) <= sigma + 1e-10
         with pytest.warns(RuntimeWarning, match="sigma_k"):
-            sub = build_subproblem(inst, x_k, 0, DirConfig())
+            sub = build_subproblem(inst, x_k, 0)
         assert 0 < sub.sigma_k <= 1e-14 * sigma
 
 
 class TestRetract:
     def test_feasible_point_returned_unchanged(self):
         inst = make_instance(5, 12, seed=5)
-        sub = build_subproblem(inst, inst.least_norm, 0, DirConfig())
+        sub = build_subproblem(inst, inst.least_norm, 0)
         x = inst.least_norm + 1e-3  # small perturbation stays feasible
         if float(np.linalg.norm(sub.matvec(x) - sub.b_w)) ** 2 <= sub.sigma_k:
             assert retract(sub, x) is x
 
     def test_halfway_blend(self):
         inst = one_dim_instance()
-        sub = build_subproblem(inst, np.array([1.0]), 0, DirConfig())
+        sub = build_subproblem(inst, np.array([1.0]), 0)
         # choose x with ||A_k x - b_w|| = 2 sqrt(sigma_k): theta = 1/2
         x = np.array([(sub.b_w[0] + 2.0 * sub.sigma_bar) / sub.v[0]])
         out = retract(sub, x)
@@ -133,7 +134,7 @@ class TestRetract:
     def test_output_feasible_for_both_constraints(self):
         rng = np.random.default_rng(6)
         inst = make_instance(5, 12, seed=7)
-        sub = build_subproblem(inst, inst.least_norm, 0, DirConfig())
+        sub = build_subproblem(inst, inst.least_norm, 0)
         for _ in range(20):
             x = 10.0 * rng.standard_normal(12)
             out = retract(sub, x)
@@ -143,11 +144,32 @@ class TestRetract:
 
     def test_boundary_exactness(self):
         inst = make_instance(4, 10, seed=8)
-        sub = build_subproblem(inst, inst.least_norm, 0, DirConfig())
+        sub = build_subproblem(inst, inst.least_norm, 0)
         x = 50.0 * np.ones(10)
         out = retract(sub, x)
         assert float(np.linalg.norm(sub.matvec(out) - sub.b_w)) ** 2 \
             == pytest.approx(sub.sigma_k, rel=1e-10)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), extra=st.integers(0, 6),
+           seed=st.integers(0, 2 ** 16), k=st.integers(0, 30))
+    def test_retract_always_lands_in_ball(self, data, m, extra, seed, k):
+        try:
+            inst = make_instance(m, m + extra, seed=seed)
+        except ValueError:      # tiny draws can make x = 0 feasible
+            assume(False)
+        sub = build_subproblem(inst, inst.least_norm, k)
+        x = data.draw(hnp.arrays(np.float64, m + extra,
+                                 elements=st.floats(-1e6, 1e6)))
+        out = retract(sub, x)
+        res = float(np.linalg.norm(sub.matvec(out) - sub.b_w))
+        # The boundary is hit up to rounding at the scale of the data, not of
+        # the radius: m = 1, seed 31956, x = [1] overshoots sigma_k by
+        # 1.35e-12 relative, where ||b_w|| is 1.6e4 times sqrt(sigma_k).
+        scale = float(np.linalg.norm(sub.b_w)) \
+            + math.sqrt(sub.gram_bound()) * float(np.linalg.norm(out))
+        assert res <= sub.sigma_bar + 1e-14 * scale
 
 
 class TestStationarityReport:
@@ -184,8 +206,6 @@ class TestStationarityReport:
 class _EchoEngine:
     """Feeds back the least-norm point; used to test the engine plug-in."""
 
-    certified = False
-
     def __init__(self):
         self.warm_seen = []
 
@@ -195,24 +215,19 @@ class _EchoEngine:
         cert = InexactCertificate(
             x_tilde=x, u_tilde=np.zeros_like(sub.b_w), multiplier=0.0,
             kkt_residual=math.inf, coupling_residual=0.0, descent_ok=True)
-        return cert, {"token": len(self.warm_seen)}, 1, True
+        return cert, {"token": len(self.warm_seen)}, {"iterations": 1, "ok": True}
 
 
-class _FailingEngine:
-    certified = True
-
-    def solve(self, sub, warm):
-        cert = InexactCertificate(
-            x_tilde=sub.x_k, u_tilde=np.zeros_like(sub.b_w), multiplier=0.0,
-            kkt_residual=math.inf, coupling_residual=math.inf, descent_ok=False)
-        return cert, None, 5, False
+def _failing_solve(sub, warm):
+    cert = InexactCertificate(
+        x_tilde=sub.x_k, u_tilde=np.zeros_like(sub.b_w), multiplier=0.0,
+        kkt_residual=math.inf, coupling_residual=math.inf, descent_ok=False)
+    return cert, None, {"iterations": 5, "ok": False}
 
 
 class _LyingEngine:
     """Certified engine whose second answer claims success but fails its
     certificate; used to test that run_dir checks the claim."""
-
-    certified = True
 
     def __init__(self):
         self.calls = 0
@@ -223,12 +238,12 @@ class _LyingEngine:
         cert = InexactCertificate(
             x_tilde=sub.x_k, u_tilde=np.zeros_like(sub.b_w), multiplier=0.0,
             kkt_residual=residual, coupling_residual=0.0, descent_ok=True)
-        return cert, None, 1, True
+        return cert, None, {"iterations": 1, "ok": True}
 
 
 def certificate_violation_run():
     """Run the lying engine; returns (instance, result)."""
-    register_engine("lying-test", lambda config: _LyingEngine())
+    register_engine("lying-test", _LyingEngine().solve, certified=True)
     inst = make_instance(5, 12, seed=18)
     return inst, run_dir(inst, DirConfig(engine="lying-test", max_outer=10,
                                          outer_tol=-1.0))
@@ -254,7 +269,7 @@ class TestRunDir:
 
     def test_plugin_engine_and_warm_threading(self):
         engine = _EchoEngine()
-        register_engine("echo-test", lambda config: engine)
+        register_engine("echo-test", engine.solve, certified=False)
         inst = make_instance(5, 12, seed=15)
         res = run_dir(inst, DirConfig(engine="echo-test", max_outer=3,
                                       outer_tol=-1.0))
@@ -266,7 +281,7 @@ class TestRunDir:
         assert not any(h["criteria_enforced"] for h in res.history)
 
     def test_subproblem_failure_keeps_partial_history(self):
-        register_engine("fail-test", lambda config: _FailingEngine())
+        register_engine("fail-test", _failing_solve, certified=True)
         inst = make_instance(5, 12, seed=16)
         res = run_dir(inst, DirConfig(engine="fail-test", max_outer=10))
         assert res.status is RunStatus.SUBPROBLEM_FAILURE
@@ -302,6 +317,20 @@ class TestRunDir:
             for key in ("k", "sigma_k", "eps_k", "objective", "inner_iterations",
                         "kkt_residual", "coupling_residual", "elapsed_seconds"):
                 assert key in parsed
+
+    @pytest.mark.parametrize("engine, keys", [
+        ("admm", {"best_kkt", "best_kkt_iter", "exact_checks"}),
+        ("spg", {"newton_steps", "escalations", "root_gap"}),
+    ])
+    def test_history_carries_engine_info(self, desk_instance, engine, keys):
+        inst, _ = desk_instance
+        res = run_dir(inst, DirConfig(engine=engine))
+        assert res.status is RunStatus.CONVERGED
+        for rec in res.history:
+            assert keys <= set(rec)
+            assert not {"iterations", "ok"} & set(rec)
+        parsed = [json.loads(line) for line in res.history_jsonl().splitlines()]
+        assert parsed == res.history
 
     def test_desk_run_invariants(self, desk_instance):
         inst, _ = desk_instance

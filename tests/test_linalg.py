@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dir_sparse import (lambda_max_gram, least_norm_solution, project_l2_ball,
                         project_weighted_l1_ball, soft_threshold)
@@ -192,3 +194,49 @@ class TestWeightedL1Ball:
     def test_bad_weights(self):
         with pytest.raises(ValueError):
             project_weighted_l1_ball(np.ones(2), np.array([1.0, 0.0]), 1.0)
+
+
+@st.composite
+def projection_cases(draw):
+    n = draw(st.integers(1, 12))
+    y = draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    w = draw(hnp.arrays(np.float64, n, elements=st.floats(0.05, 20.0)))
+    tau = draw(st.floats(0.0, 1.2)) * float(w @ np.abs(y))
+    return y, w, tau
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(projection_cases())
+    # The first projection lands outside the ball by rounding only; the
+    # second one once found no valid breakpoint and blew the point up.
+    @example((np.array([9.144458723831605, 7.468009923804169,
+                        6.142304211792081, -3.913393374441042]),
+              np.array([11.219887076744714, 13.917571831509017,
+                        8.5009450051871, 17.41367770957834]),
+              247.62153672762085))
+    def test_projection_feasible_and_idempotent(self, case):
+        # Rounding is relative to the input: with tau far below ||w o y||_1
+        # the shrinkage |y| - theta w cancels (y = [243], w = [0.05],
+        # tau = 1.215e-7 overshoots tau by 1e-8 relative).
+        y, w, tau = case
+        p = project_weighted_l1_ball(y, w, tau)
+        assert float(w @ np.abs(p)) <= tau + 1e-13 * float(w @ np.abs(y))
+        pp = project_weighted_l1_ball(p, w, tau)
+        assert np.linalg.norm(p - pp) <= 1e-13 * max(1.0, float(np.linalg.norm(y)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(projection_cases(), st.floats(1.0, 10.0))
+    def test_projection_keeps_feasible_point(self, case, slack):
+        y, w, _ = case
+        tau = float(w @ np.abs(y)) * slack
+        np.testing.assert_array_equal(project_weighted_l1_ball(y, w, tau), y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_soft_threshold_closed_form(self, data):
+        n = data.draw(st.integers(1, 12))
+        v = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+        t = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
+        want = [a - b if a > b else a + b if a < -b else 0.0 for a, b in zip(v, t)]
+        np.testing.assert_array_equal(soft_threshold(v, t), want)
