@@ -9,7 +9,7 @@ the next subproblem well posed no matter how loosely the engine solved the
 current one.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 import json
 import time
@@ -66,10 +66,6 @@ class ProblemInstance:
                    least_norm=least_norm_solution(Q, R, b),
                    gram_lmax=lambda_max_gram(R))
 
-    @property
-    def shape(self):
-        return self.A.shape
-
     def constraint(self, x) -> float:
         return constraint_value(self.loss, self.A, self.b, x)
 
@@ -89,7 +85,8 @@ class SubproblemData:
     """One outer iteration's weighted BPDN data.
 
     The scaled matrix Diag(v) A is applied implicitly through
-    :meth:`matvec`/:meth:`rmatvec`; it is never materialized.
+    :meth:`matvec`/:meth:`rmatvec`; it is never materialized.  Each call
+    is counted in ``matvec_calls``/``rmatvec_calls``.
     """
 
     instance: ProblemInstance
@@ -102,11 +99,15 @@ class SubproblemData:
     eps_k: float
     mu_k: float
     tau_k: float
+    matvec_calls: int = 0
+    rmatvec_calls: int = 0
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        self.matvec_calls += 1
         return self.v * (self.instance.A @ x)
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
+        self.rmatvec_calls += 1
         return self.instance.A.T @ (self.v * z)
 
     @property
@@ -128,23 +129,38 @@ class SubproblemData:
 class InexactCertificate:
     """Engine answer for one subproblem with its accuracy measurements.
 
-    ``kkt_residual`` bounds the distance of 0 from the weighted-l1
-    subdifferential plus the scaled normal-cone term; ``coupling_residual``
-    is the norm of A_k x_tilde - b_w - u_tilde.  ``descent_ok`` records the
-    controlled-increase condition on the retracted point.
+    The engine gives ``sub``, its answer ``x_tilde`` and the ``residual``
+    A_k x_tilde - b_w it already holds.  ``kkt_residual`` bounds the
+    distance of 0 from the weighted-l1 subdifferential plus the scaled
+    normal-cone term; ``coupling_residual`` is the norm of
+    A_k x_tilde - b_w - u_tilde.  The rest is derived here, from the
+    residual: ``x_next`` is x_tilde retracted into the subproblem ball
+    (see :func:`retract`), ``subproblem_residual`` is ||A_k x_tilde - b_w||
+    and ``descent_ok`` the controlled increase
+    ||w o x_next||_1 <= ||w o x_k||_1 + mu_k.
     """
 
+    sub: InitVar[SubproblemData]
     x_tilde: np.ndarray
+    residual: InitVar[np.ndarray]
     u_tilde: np.ndarray
     multiplier: float
     kkt_residual: float
     coupling_residual: float
-    descent_ok: bool
+    x_next: np.ndarray = field(init=False)
+    subproblem_residual: float = field(init=False)
+    descent_ok: bool = field(init=False)
+
+    def __post_init__(self, sub, residual):
+        self.x_next, self.subproblem_residual = _retract(
+            sub, self.x_tilde, residual)
+        self.descent_ok = bool(np.abs(sub.w * self.x_next).sum()
+                               <= sub.ref_objective + sub.mu_k)
 
     def criteria_met(self, eps_k: float) -> bool:
-        return (self.kkt_residual <= eps_k
-                and self.coupling_residual <= eps_k
-                and self.descent_ok)
+        return bool(self.kkt_residual <= eps_k
+                    and self.coupling_residual <= eps_k
+                    and self.descent_ok)
 
 
 @dataclass
@@ -192,12 +208,13 @@ def register_engine(name: str, solve, *, certified: bool) -> None:
     """Register a subproblem engine under a CLI-usable name.
 
     ``solve(sub, warm)`` must return ``(InexactCertificate, state, info)``:
+    the certificate is built from the engine's residual A_k x - b_w,
     ``state`` is handed back as ``warm`` on the next outer iteration, and
-    ``info`` is a dict with at least ``"iterations"`` and ``"ok"``; its
-    other entries go into the history record.  A ``certified`` engine
-    promises that an ``ok`` answer meets the ``eps_k`` criteria, and
-    :func:`run_dir` checks that promise.  External comparison solvers plug
-    in through this hook.
+    ``info`` is a dict with at least ``"iterations"``; its other entries go
+    into the history record.  :func:`run_dir` accepts an answer of a
+    ``certified`` engine only when its certificate meets the ``eps_k``
+    criteria, and every answer of the others.  External comparison solvers
+    plug in through this hook.
     """
     _ENGINES[name] = (solve, bool(certified))
 
@@ -261,16 +278,12 @@ def retract(sub: SubproblemData, x: np.ndarray) -> np.ndarray:
     t = sqrt(sigma_k) / ||A_k x - b_w||, which lands exactly on the ball
     boundary and is feasible for the original constraint as well.
     """
-    return _retract(sub, x, sub.matvec(x))[0]
+    return _retract(sub, x, sub.matvec(x) - sub.b_w)[0]
 
 
-def _retract(sub: SubproblemData, x: np.ndarray, Akx: np.ndarray):
-    """:func:`retract` given the product Akx = A_k x.
-
-    Returns the retracted point and ||A_k x - b_w||, so callers that hold
-    the product, or need the norm, spend no further product with A.
-    """
-    nrm = float(np.linalg.norm(Akx - sub.b_w))
+def _retract(sub: SubproblemData, x: np.ndarray, residual: np.ndarray):
+    """:func:`retract` given residual = A_k x - b_w; also returns its norm."""
+    nrm = float(np.linalg.norm(residual))
     if nrm * nrm <= sub.sigma_k:
         return x, nrm
     t = sub.sigma_bar / nrm
@@ -308,13 +321,15 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
     Starts from the least-norm interpolant unless a feasible ``x0`` is
     given.  Every iteration builds the reweighted subproblem, hands it to
     the configured engine (warm started from the previous inner state) and
-    retracts the engine's answer into the feasible set.  Stops when the
-    relative step ||x_{k+1} - x_k|| / max(||x_k||, 1) drops to
-    ``outer_tol``, when ``max_outer`` is hit, or when a certified engine
-    exhausts its accuracy escalations.  A certified engine that reports
-    success with a certificate failing the ``eps_k`` criteria stops the run
-    with status ``certificate-violation``; that answer is discarded and the
-    result holds the iterations before it.
+    moves to the certificate's retracted point ``x_next``; no product with
+    A_k is spent here.  Stops when the relative step
+    ||x_{k+1} - x_k|| / max(||x_k||, 1) drops to ``outer_tol``, when
+    ``max_outer`` is hit, or with ``subproblem-failure`` when a certified
+    engine's certificate fails the ``eps_k`` criteria (that answer is kept
+    as the last iteration).  An answer whose retracted point violates the
+    original constraint by more than ``FEASIBILITY_SLACK`` stops the run
+    with ``certificate-violation``; that answer is discarded and the result
+    holds the iterations before it.
     """
     config = config or DirConfig()
     solve, certified = get_engine(config.engine)
@@ -338,17 +353,17 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
         tic = time.perf_counter()
         sub = build_subproblem(instance, x, k)
         cert, warm, info = solve(sub, warm)
-        ok = bool(info["ok"])
-        if certified and ok and not cert.criteria_met(sub.eps_k):
+        x_next = cert.x_next
+        constraint_next = instance.constraint(x_next)
+        # Plain code so that python -O keeps it; "not <=" also catches NaN.
+        if not constraint_next <= instance.sigma + FEASIBILITY_SLACK:
             status = RunStatus.CERTIFICATE_VIOLATION
             break
+        accepted = not certified or cert.criteria_met(sub.eps_k)
 
-        x_next, sub_residual = _retract(sub, cert.x_tilde,
-                                        sub.matvec(cert.x_tilde))
         step = float(np.linalg.norm(x_next - x))
         rel_step = step / max(float(np.linalg.norm(x)), 1.0)
         psi_next = instance.objective(x_next)
-        constraint_next = instance.constraint(x_next)
 
         record = {
             "k": k,
@@ -363,20 +378,22 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
             "inner_iterations": int(info["iterations"]),
             "kkt_residual": cert.kkt_residual,
             "coupling_residual": cert.coupling_residual,
-            "descent_ok": bool(cert.descent_ok),
+            "descent_ok": cert.descent_ok,
             "multiplier": cert.multiplier,
-            "criteria_enforced": certified and ok,
-            "subproblem_residual": sub_residual,
+            "criteria_enforced": certified and accepted,
+            "subproblem_residual": cert.subproblem_residual,
             "retraction_displacement": float(np.linalg.norm(
                 x_next - cert.x_tilde)),
             "anchor_gap": float(np.linalg.norm(
                 instance.least_norm - cert.x_tilde)),
             "step_norm": step,
             "rel_step": rel_step,
+            "matvec_calls": sub.matvec_calls,
+            "rmatvec_calls": sub.rmatvec_calls,
             "elapsed_seconds": time.perf_counter() - tic,
         }
         for key, val in info.items():
-            if key not in ("iterations", "ok"):
+            if key != "iterations":
                 record.setdefault(key, val)
         history.append(record)
 
@@ -386,7 +403,7 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
         psi_curr = psi_next
         constraint_curr = constraint_next
 
-        if not ok:
+        if not accepted:
             status = RunStatus.SUBPROBLEM_FAILURE
             break
         if rel_step <= config.outer_tol:

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InexactCertificate, SubproblemData, _retract, register_engine
+from .core import InexactCertificate, SubproblemData, register_engine
 # The benchmark's tracer wraps dir_sparse.spg.retract by that name, so it
-# stays importable here although the descent check goes through _retract.
+# stays importable here although the certificate retracts in core.
 from .core import retract  # noqa: F401
 from .linalg import project_weighted_l1_ball
 
@@ -47,7 +47,6 @@ class SpgState:
 
     tau: float
     x_lasso: np.ndarray
-    sigma_bar: float
     history: list = field(default_factory=list)  # (tau, phi, slope) triples
 
 
@@ -70,7 +69,8 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
     ``_LASSO_TOL``), confirmed by
     the unit-step fixed-point residual staying within 10 * tol.
 
-    Returns ``(x, lasso_multiplier, iterations, converged)``.  The
+    Returns ``(x, lasso_multiplier, iterations, converged, r, g)`` with
+    the final residual r = b_w - A_k x and gradient g = -A_k^T r.  The
     multiplier is the shrinkage multiplier of a unit-step gradient
     projection at the final iterate; at a fixed point the projection
     multiplier scales linearly with the step, so the unit-step probe is
@@ -84,7 +84,8 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
     w = sub.w
     n = w.shape[0]
     if tau == 0.0:
-        return np.zeros(n), 0.0, 0, True
+        r = sub.b_w.copy()
+        return np.zeros(n), 0.0, 0, True, r, -sub.rmatvec(r)
 
     x = np.zeros(n) if warm is None else np.asarray(warm, dtype=float)
     x = project_weighted_l1_ball(x, w, tau)
@@ -150,11 +151,13 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
     if not converged and it > 0:
         probe = project_weighted_l1_ball(x - g, w, tau)
         lam = _projection_multiplier(x - g, probe, w)
-    return x, lam, it, converged
+    return x, lam, it, converged, r, g
 
 
-def _certificate(sub: SubproblemData, x, lasso_multiplier):
-    """Assemble the inexact certificate at the current LASSO iterate.
+def _certificate(sub: SubproblemData, x, r, lasso_multiplier):
+    """Assemble the inexact certificate at the LASSO iterate x.
+
+    ``r`` is its residual b_w - A_k x, so only ``rmatvec`` is spent here.
 
     The ball variable is the projection of A_k x - b_w onto the sphere of
     radius sigma_bar, so the coupling residual is exactly
@@ -162,8 +165,7 @@ def _certificate(sub: SubproblemData, x, lasso_multiplier):
     the reciprocal LASSO multiplier by rho / sigma_bar, which makes the
     KKT inclusion algebraically exact at an exact LASSO optimum.
     """
-    Akx = sub.matvec(x)
-    res = Akx - sub.b_w
+    res = -r
     rho = float(np.linalg.norm(res))
     sigma_bar = sub.sigma_bar
     if rho > 0.0:
@@ -178,13 +180,10 @@ def _certificate(sub: SubproblemData, x, lasso_multiplier):
     dist = np.where(x != 0.0,
                     np.abs(sub.w * np.sign(x) + q),
                     np.maximum(np.abs(q) - sub.w, 0.0))
-    pulled, _ = _retract(sub, x, Akx)
-    descent_ok = bool(np.abs(sub.w * pulled).sum() <= sub.ref_objective + sub.mu_k)
     return InexactCertificate(
-        x_tilde=x, u_tilde=u, multiplier=mult,
+        sub, x, res, u_tilde=u, multiplier=mult,
         kkt_residual=float(np.linalg.norm(dist)),
-        coupling_residual=abs(rho - sigma_bar),
-        descent_ok=descent_ok)
+        coupling_residual=abs(rho - sigma_bar))
 
 
 def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
@@ -197,10 +196,14 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     are warm started from the previous iterate (and, across outer
     iterations, from the warm state's solution).
 
+    phi(tau) and the slope -||g / w||_inf / phi are read from the residual
+    r and the gradient g that each LASSO solve returns, so a Newton step
+    spends no product with A_k beyond its LASSO solve.
+
     Returns ``(certificate, state, info)``.  In certified mode the
     certificate bounds are enforced by tightening the LASSO tolerance up
-    to ``_MAX_ESCALATIONS`` times; ``info["ok"]`` reports the outcome.  In
-    blackbox mode the bounds are recorded but never enforced.
+    to ``_MAX_ESCALATIONS`` times, after which the failing certificate is
+    returned.  In blackbox mode the bounds are recorded but never enforced.
     """
     if mode not in ("certified", "blackbox"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -233,17 +236,13 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     total_inner = 0
     escalations = 0
     newton_steps = 0
-    ok = not certified
     cert = None
 
     for _ in range(_MAX_NEWTON):
         if abs(phi - sigma_bar) <= root_tol:
-            cert = _certificate(sub, x, lasso_multiplier)
-            if not certified or cert.criteria_met(sub.eps_k):
-                ok = True
-                break
-            if escalations >= _MAX_ESCALATIONS:
-                ok = False
+            cert = _certificate(sub, x, r, lasso_multiplier)
+            if (not certified or cert.criteria_met(sub.eps_k)
+                    or escalations >= _MAX_ESCALATIONS):
                 break
             escalations += 1
             lasso_tol *= 0.1
@@ -261,27 +260,20 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
                             else max(2.0 * tau, 1.0))
 
         x0 = x if tau > 0.0 else (warm_x if warm_x is not None else x)
-        x, lasso_multiplier, iters, _ = spg_lasso(sub, tau_next, x0,
-                                                  tol=lasso_tol)
+        x, lasso_multiplier, iters, _, r, g = spg_lasso(sub, tau_next, x0,
+                                                        tol=lasso_tol)
         total_inner += iters
         newton_steps += 1
-        r = sub.b_w - sub.matvec(x)
         phi = float(np.linalg.norm(r))
-        if phi > 0.0:
-            slope = -float(np.abs(sub.rmatvec(r) / sub.w).max()) / phi
-        else:
-            slope = 0.0
+        slope = -float(np.abs(g / sub.w).max()) / phi if phi > 0.0 else 0.0
         tau = tau_next
         history.append((tau, phi, slope))
     if cert is None:
-        cert = _certificate(sub, x, lasso_multiplier)
-        if certified:
-            ok = cert.criteria_met(sub.eps_k)
+        cert = _certificate(sub, x, r, lasso_multiplier)
 
-    state = SpgState(tau=tau, x_lasso=x, sigma_bar=sigma_bar, history=history)
-    info = {"iterations": total_inner, "ok": ok, "newton_steps": newton_steps,
-            "escalations": escalations,
-            "root_gap": abs(phi - sigma_bar)}
+    state = SpgState(tau=tau, x_lasso=x, history=history)
+    info = {"iterations": total_inner, "newton_steps": newton_steps,
+            "escalations": escalations, "root_gap": abs(phi - sigma_bar)}
     return cert, state, info
 
 

@@ -270,7 +270,7 @@ def test_criterion_6_admm_oracle_equivalence():
     for seed in range(20):
         sub = _tiny_subproblem(100 + seed)
         cert, state, info = admm_solve(sub, None)
-        assert info["ok"], f"tiny ADMM solve {seed} did not certify"
+        assert cert.criteria_met(sub.eps_k), f"tiny ADMM solve {seed} did not certify"
         got = float(np.abs(sub.w * cert.x_tilde).sum())
         want = _grid_oracle_objective(sub)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
@@ -320,7 +320,7 @@ def test_criterion_8_pareto_newton_analytic():
                          mu_k=0.5, tau_k=1e-6)
     cert, state, info = pareto_newton(sub, None, "certified")
     ok = info["newton_steps"] <= 2 and abs(state.tau - 1.0) <= 1e-12 \
-        and info["ok"]
+        and cert.criteria_met(sub.eps_k)
     _verdict(8, ok,
              f"analytic Pareto case: tau={state.tau!r} after "
              f"{info['newton_steps']} Newton steps (target 1 within 1e-12, "

@@ -13,9 +13,9 @@ import dir_sparse
 from dir_sparse import (DirConfig, InexactCertificate, LossKind, LossSpec,
                         PenaltySpec, RunStatus, build_subproblem,
                         register_engine, retract, run_dir, stationarity_report)
-from dir_sparse.core import ProblemInstance
+from dir_sparse.core import FEASIBILITY_SLACK, ProblemInstance
 
-from conftest import make_instance
+from conftest import ALL_KINDS, make_instance
 
 
 def one_dim_instance(b=2.0, sigma=1.0, delta=1.0, epsilon=0.1):
@@ -172,6 +172,57 @@ class TestRetract:
         assert res <= sub.sigma_bar + 1e-14 * scale
 
 
+def _rounding_scale(inst, sub, x):
+    """sigma plus the squared scale at which A_k x - b_w is computed."""
+    return inst.sigma + (float(np.linalg.norm(sub.b_w)) + math.sqrt(
+        sub.gram_bound()) * float(np.linalg.norm(x))) ** 2
+
+
+class TestMajorization:
+    """The subproblem ball lies inside the original constraint for every loss.
+
+    This backs the feasibility check in run_dir: a certificate built from an
+    honest residual retracts into the ball, hence into the constraint.
+    Anchors are retracted points of the first subproblem, blended toward
+    the least-norm point, so their residuals are nonzero.
+    """
+
+    @staticmethod
+    def _subproblem(data, kind, m, extra, seed):
+        try:
+            inst = make_instance(m, m + extra, seed=seed, kind=kind)
+        except ValueError:      # tiny draws can make x = 0 feasible
+            assume(False)
+        points = hnp.arrays(np.float64, m + extra, elements=st.floats(-1e6, 1e6))
+        sub0 = build_subproblem(inst, inst.least_norm, 0)
+        s = data.draw(st.floats(0.0, 1.0))
+        anchor = inst.least_norm + s * (retract(sub0, data.draw(points))
+                                        - inst.least_norm)
+        assume(inst.is_feasible(anchor))
+        return inst, build_subproblem(inst, anchor, 1), data.draw(points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(ALL_KINDS), m=st.integers(1, 6),
+           extra=st.integers(0, 6), seed=st.integers(0, 2 ** 16),
+           t=st.floats(0.0, 1.0))
+    def test_ball_inside_constraint(self, data, kind, m, extra, seed, t):
+        inst, sub, x = self._subproblem(data, kind, m, extra, seed)
+        # A_k y - b_w = t (A_k retract(x) - b_w), as A least_norm = b.
+        y = inst.least_norm + t * (retract(sub, x) - inst.least_norm)
+        assume(float(np.linalg.norm(sub.matvec(y) - sub.b_w)) ** 2 <= sub.sigma_k)
+        assert inst.constraint(y) <= inst.sigma + 1e-14 * _rounding_scale(inst, sub, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(ALL_KINDS), m=st.integers(1, 6),
+           extra=st.integers(0, 6), seed=st.integers(0, 2 ** 16))
+    def test_certificate_point_feasible(self, data, kind, m, extra, seed):
+        inst, sub, x = self._subproblem(data, kind, m, extra, seed)
+        cert = _certificate_at(sub, x, 0.0, 0.0)
+        got = inst.constraint(cert.x_next)
+        assert got <= inst.sigma + 1e-14 * _rounding_scale(inst, sub, cert.x_next)
+        assert got <= inst.sigma + FEASIBILITY_SLACK
+
+
 class TestStationarityReport:
     def test_zero_point_zero_multiplier(self):
         inst = make_instance(5, 12, seed=9)
@@ -203,6 +254,15 @@ class TestStationarityReport:
         assert rep.dual_residual == pytest.approx(expected, rel=1e-14)
 
 
+def _certificate_at(sub, x, kkt_residual, coupling_residual, residual=None):
+    """A certificate at x built from its true residual, or from ``residual``."""
+    if residual is None:
+        residual = sub.matvec(x) - sub.b_w
+    return InexactCertificate(sub, x, residual, u_tilde=np.zeros_like(sub.b_w),
+                              multiplier=0.0, kkt_residual=kkt_residual,
+                              coupling_residual=coupling_residual)
+
+
 class _EchoEngine:
     """Feeds back the least-norm point; used to test the engine plug-in."""
 
@@ -211,39 +271,34 @@ class _EchoEngine:
 
     def solve(self, sub, warm):
         self.warm_seen.append(warm)
-        x = sub.instance.least_norm
-        cert = InexactCertificate(
-            x_tilde=x, u_tilde=np.zeros_like(sub.b_w), multiplier=0.0,
-            kkt_residual=math.inf, coupling_residual=0.0, descent_ok=True)
-        return cert, {"token": len(self.warm_seen)}, {"iterations": 1, "ok": True}
+        cert = _certificate_at(sub, sub.instance.least_norm, math.inf, 0.0)
+        return cert, {"token": len(self.warm_seen)}, {"iterations": 1}
 
 
 def _failing_solve(sub, warm):
-    cert = InexactCertificate(
-        x_tilde=sub.x_k, u_tilde=np.zeros_like(sub.b_w), multiplier=0.0,
-        kkt_residual=math.inf, coupling_residual=math.inf, descent_ok=False)
-    return cert, None, {"iterations": 5, "ok": False}
+    return _certificate_at(sub, sub.x_k, math.inf, math.inf), None, {"iterations": 5}
 
 
 class _LyingEngine:
-    """Certified engine whose second answer claims success but fails its
-    certificate; used to test that run_dir checks the claim."""
+    """Engine whose second answer reports a zero residual at an infeasible
+    point; used to test that run_dir checks the retracted point."""
 
     def __init__(self):
         self.calls = 0
 
     def solve(self, sub, warm):
         self.calls += 1
-        residual = 0.0 if self.calls == 1 else math.inf
-        cert = InexactCertificate(
-            x_tilde=sub.x_k, u_tilde=np.zeros_like(sub.b_w), multiplier=0.0,
-            kkt_residual=residual, coupling_residual=0.0, descent_ok=True)
-        return cert, None, {"iterations": 1, "ok": True}
+        if self.calls == 1:
+            cert = _certificate_at(sub, sub.x_k, 0.0, 0.0)
+        else:
+            cert = _certificate_at(sub, sub.x_k + 100.0, 0.0, 0.0,
+                                   residual=np.zeros_like(sub.b_w))
+        return cert, None, {"iterations": 1}
 
 
-def certificate_violation_run():
+def certificate_violation_run(certified=True):
     """Run the lying engine; returns (instance, result)."""
-    register_engine("lying-test", _LyingEngine().solve, certified=True)
+    register_engine("lying-test", _LyingEngine().solve, certified=certified)
     inst = make_instance(5, 12, seed=18)
     return inst, run_dir(inst, DirConfig(engine="lying-test", max_outer=10,
                                          outer_tol=-1.0))
@@ -294,6 +349,13 @@ class TestRunDir:
         assert len(res.history) == 1 and res.history[0]["criteria_enforced"]
         assert inst.is_feasible(res.x_retracted)
 
+    def test_certificate_violation_for_uncertified_engine(self):
+        # Feasibility is checked for every engine, not only certified ones.
+        inst, res = certificate_violation_run(certified=False)
+        assert res.status is RunStatus.CERTIFICATE_VIOLATION
+        assert len(res.history) == 1 and not res.history[0]["criteria_enforced"]
+        assert inst.is_feasible(res.x_retracted)
+
     def test_certificate_violation_caught_under_python_O(self):
         path = os.pathsep.join([os.path.dirname(os.path.dirname(dir_sparse.__file__)),
                                 os.path.dirname(__file__)])
@@ -331,6 +393,19 @@ class TestRunDir:
             assert not {"iterations", "ok"} & set(rec)
         parsed = [json.loads(line) for line in res.history_jsonl().splitlines()]
         assert parsed == res.history
+
+    def test_products_counted_per_iteration(self, desk_instance):
+        # ADMM spends one matvec per sweep plus the first, and one rmatvec per
+        # sweep plus the first gradient, each exact check and, on a warm
+        # start, the seed of A_k^T lam / beta; run_dir spends none.
+        inst, _ = desk_instance
+        res = run_dir(inst, DirConfig(engine="admm"))
+        assert res.status is RunStatus.CONVERGED
+        for rec in res.history:
+            assert rec["matvec_calls"] == rec["inner_iterations"] + 1
+            extra = rec["rmatvec_calls"] - rec["inner_iterations"] \
+                - rec["exact_checks"]
+            assert extra == (1 if rec["k"] == 0 else 2)
 
     def test_desk_run_invariants(self, desk_instance):
         inst, _ = desk_instance

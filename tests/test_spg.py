@@ -30,9 +30,18 @@ def random_sub(m, n, seed):
 class TestSpgLasso:
     def test_tau_zero(self):
         sub = random_sub(4, 10, seed=0)
-        x, lam, iters, conv = spg_lasso(sub, 0.0, None)
+        x, lam, iters, conv, r, g = spg_lasso(sub, 0.0, None)
         np.testing.assert_array_equal(x, 0.0)
         assert conv and iters == 0
+        np.testing.assert_array_equal(r, sub.b_w)
+        np.testing.assert_array_equal(g, -sub.rmatvec(sub.b_w))
+
+    def test_returns_final_residual_and_gradient(self):
+        sub = random_sub(5, 12, seed=2)
+        x, _, iters, _, r, g = spg_lasso(sub, 0.3 * sub.ref_objective, None)
+        assert iters > 0
+        np.testing.assert_array_equal(r, sub.b_w - sub.matvec(x))
+        np.testing.assert_array_equal(g, -sub.rmatvec(r))
 
     def test_negative_tau_rejected(self):
         sub = random_sub(4, 10, seed=0)
@@ -45,13 +54,13 @@ class TestSpgLasso:
         x_ls = np.linalg.lstsq(sub.v[:, None] * sub.instance.A, sub.b_w,
                                rcond=None)[0]
         tau = 1.1 * float(np.abs(sub.w * x_ls).sum())
-        x, lam, iters, conv = spg_lasso(sub, tau, None)
+        x, lam, iters, conv, _, _ = spg_lasso(sub, tau, None)
         resid = float(np.linalg.norm(sub.matvec(x) - sub.b_w))
         assert resid <= 1e-6 * float(np.linalg.norm(sub.b_w))
 
     def test_one_dim_analytic(self):
         sub = one_dim_sub(b=2.0)
-        x, lam, iters, conv = spg_lasso(sub, 1.0, None)
+        x, lam, iters, conv, _, _ = spg_lasso(sub, 1.0, None)
         np.testing.assert_allclose(x, [1.0], atol=1e-12)
         assert float(np.linalg.norm(sub.matvec(x) - sub.b_w)) \
             == pytest.approx(1.0, abs=1e-12)
@@ -62,7 +71,7 @@ class TestSpgLasso:
         for seed in range(5):
             sub = random_sub(5, 12, seed=seed)
             tau = 0.3 * float(np.abs(sub.w * sub.instance.least_norm).sum())
-            x, lam, iters, conv = spg_lasso(sub, tau, None, tol=tol)
+            x, lam, iters, conv, _, _ = spg_lasso(sub, tau, None, tol=tol)
             assert conv
             g = -sub.rmatvec(sub.b_w - sub.matvec(x))
             fp = x - project_weighted_l1_ball(x - g, sub.w, tau)
@@ -71,7 +80,7 @@ class TestSpgLasso:
     def test_iterate_feasible(self):
         sub = random_sub(5, 12, seed=6)
         tau = 0.5
-        x, _, _, _ = spg_lasso(sub, tau, None)
+        x, _, _, _, _, _ = spg_lasso(sub, tau, None)
         assert float(np.abs(sub.w * x).sum()) <= tau * (1 + 1e-12)
 
 
@@ -81,7 +90,7 @@ class TestParetoNewton:
         # root tau = 1 in one step and certifies on re-evaluation.
         sub = one_dim_sub(b=2.0, sigma_k=1.0)
         cert, state, info = pareto_newton(sub, None, "certified")
-        assert info["ok"]
+        assert cert.criteria_met(sub.eps_k)
         assert info["newton_steps"] <= 2
         assert state.tau == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(cert.x_tilde, [1.0], atol=1e-12)
@@ -131,29 +140,62 @@ class TestParetoNewton:
         assert float(np.linalg.norm(cert.u_tilde)) \
             == pytest.approx(sub.sigma_bar, rel=1e-14)
 
+    @pytest.mark.parametrize("mode", ["certified", "blackbox"])
+    def test_newton_step_spends_no_product(self, monkeypatch, desk_instance, mode):
+        # Outside the LASSO solves: one rmatvec for the slope at tau = 0 and
+        # one for each certificate.
+        calls = []
+        for name in ("matvec", "rmatvec"):
+            def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
+                calls.append(_name)
+                return _orig(self, z)
+            monkeypatch.setattr(SubproblemData, name, counted)
+        inside = []         # products spent inside the LASSO solves
+        certificates = []
+
+        def lasso(*args, _orig=spg_module.spg_lasso, **kwargs):
+            before = len(calls)
+            out = _orig(*args, **kwargs)
+            inside.extend(calls[before:])
+            return out
+
+        def certificate(*args, _orig=spg_module._certificate):
+            certificates.append(1)
+            return _orig(*args)
+
+        monkeypatch.setattr(spg_module, "spg_lasso", lasso)
+        monkeypatch.setattr(spg_module, "_certificate", certificate)
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        _, _, info = pareto_newton(sub, None, mode)
+        assert info["newton_steps"] > 0 and certificates
+        assert calls.count("matvec") == inside.count("matvec")
+        assert calls.count("rmatvec") - inside.count("rmatvec") \
+            == 1 + len(certificates)
+
     def test_blackbox_records_without_enforcing(self, monkeypatch):
         # a sloppy tolerance fails the certificate bounds; blackbox mode must
-        # still report ok and record the honest residuals
+        # still return without escalating and record the honest residuals
         sub = random_sub(6, 14, seed=7)
         sub.eps_k = 1e-12
         monkeypatch.setattr(spg_module, "_LASSO_TOL", 1e-2)
         monkeypatch.setattr(spg_module, "_MAX_NEWTON", 6)
         cert, state, info = pareto_newton(sub, None, "blackbox")
-        assert info["ok"]
+        assert info["escalations"] == 0
         assert not cert.criteria_met(sub.eps_k)
 
     def test_certified_reports_failure_when_exhausted(self):
         sub = random_sub(6, 14, seed=8)
         sub.eps_k = 1e-15    # unreachable
         cert, state, info = pareto_newton(sub, None, "certified")
-        assert not info["ok"]
+        assert not cert.criteria_met(sub.eps_k)
         assert info["escalations"] == spg_module._MAX_ESCALATIONS
 
 
 class TestCertificate:
-    def test_one_product_each_way(self, monkeypatch):
+    def test_one_rmatvec_only(self, monkeypatch):
         sub = random_sub(6, 14, seed=9)
-        x, lam, _, _ = spg_lasso(sub, 0.01 * sub.ref_objective, None)
+        x, lam, _, _, r, _ = spg_lasso(sub, 0.01 * sub.ref_objective, None)
         assert np.linalg.norm(sub.matvec(x) - sub.b_w) > sub.sigma_bar  # retract blends
         want_descent = bool(np.abs(sub.w * retract(sub, x)).sum()
                             <= sub.ref_objective + sub.mu_k)
@@ -163,9 +205,10 @@ class TestCertificate:
                 calls.append(_name)
                 return _orig(self, z)
             monkeypatch.setattr(SubproblemData, name, counted)
-        cert = spg_module._certificate(sub, x, lam)
-        assert calls.count("matvec") == 1 and calls.count("rmatvec") == 1
+        cert = spg_module._certificate(sub, x, r, lam)
+        assert calls == ["rmatvec"]
         assert cert.descent_ok == want_descent
+        np.testing.assert_array_equal(cert.x_next, retract(sub, x))
 
 
 class TestEndToEnd:
