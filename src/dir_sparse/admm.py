@@ -105,7 +105,7 @@ def _ball_multiplier(z: np.ndarray, sigma_bar: float, beta: float) -> float:
 def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     """Iterate ADMM until the subproblem certificate is accepted.
 
-    Acceptance is ``InexactCertificate.criteria_met(eps_k)``: the
+    Acceptance is ``InexactCertificate.criteria_met``: the
     optimality surrogate and the coupling residual drop to eps_k and the
     retracted iterate satisfies the controlled weighted-l1 increase; these
     absolute bounds imply the looser relative thresholds
@@ -175,7 +175,7 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
                 sub, x, Akx - sub.b_w, u_tilde=u,
                 multiplier=_ball_multiplier(z, sub.sigma_bar, beta),
                 kkt_residual=kkt, coupling_residual=coupling)
-            if cert.criteria_met(eps_k):
+            if cert.criteria_met:
                 break
 
     info = {"iterations": it, "best_kkt": best_kkt,

@@ -4,7 +4,7 @@ import argparse
 import sys
 
 from . import fileio
-from .core import DirConfig, ProblemInstance, RunStatus, available_engines, run_dir
+from .core import DirConfig, ProblemInstance, RunStatus, get_engine, run_dir
 from .harness import InstanceSpec, run_batch, write_aggregate_csv, write_trials_json
 from .losses import LossKind, LossSpec, PenaltySpec
 
@@ -31,15 +31,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="constraint level")
     solve.add_argument("--loss", type=_loss_kind, default=LossKind.CAUCHY,
                        help="loss kind (default cauchy)")
-    solve.add_argument("--delta", type=float, default=0.05,
-                       help="loss scale (default 0.05)")
-    solve.add_argument("--penalty-eps", type=float, default=0.1,
-                       help="log-penalty parameter (default 0.1)")
-    solve.add_argument("--engine", default="admm",
-                       help="subproblem engine: admm|spg|spg-blackbox")
-    solve.add_argument("--tol", type=float, default=1e-4,
-                       help="outer relative-step tolerance")
-    solve.add_argument("--max-outer", type=int, default=1000)
+    solve.add_argument("--delta", type=float, default=InstanceSpec.delta,
+                       help="loss scale (default %(default)s)")
+    solve.add_argument("--penalty-eps", type=float, default=InstanceSpec.epsilon,
+                       help="log-penalty parameter (default %(default)s)")
+    solve.add_argument("--engine", default=DirConfig.engine,
+                       help="subproblem engine: admm|spg|spg-blackbox "
+                            "(default %(default)s)")
+    solve.add_argument("--tol", type=float, default=DirConfig.outer_tol,
+                       help="outer relative-step tolerance (default %(default)s)")
+    solve.add_argument("--max-outer", type=int, default=DirConfig.max_outer)
     solve.add_argument("--out", required=True, help="result JSON path")
     solve.add_argument("--history", help="optional per-iteration JSONL path")
 
@@ -53,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--engines", default="admm,spg-blackbox",
                        help="comma-separated engine names")
-    bench.add_argument("--delta", type=float, default=0.05)
-    bench.add_argument("--penalty-eps", type=float, default=0.1)
-    bench.add_argument("--tol", type=float, default=1e-4)
+    bench.add_argument("--delta", type=float, default=InstanceSpec.delta)
+    bench.add_argument("--penalty-eps", type=float, default=InstanceSpec.epsilon)
+    bench.add_argument("--tol", type=float, default=DirConfig.outer_tol)
     bench.add_argument("--workers", type=int, default=1,
                        help="parallel worker processes for trials")
     bench.add_argument("--out", required=True, help="aggregate CSV path")
@@ -65,11 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _engines_known(names) -> bool:
     """Report the first unregistered engine name on stderr; False if any."""
-    known = available_engines()
-    for name in names:
-        if name not in known:
-            print(f"unknown engine {name!r}; available: {known}", file=sys.stderr)
-            return False
+    try:
+        for name in names:
+            get_engine(name)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return False
     return True
 
 
@@ -84,7 +86,7 @@ def _cmd_solve(args) -> int:
     config = DirConfig(engine=args.engine, outer_tol=args.tol,
                        max_outer=args.max_outer)
     result = run_dir(instance, config)
-    residual = (instance.constraint(result.x_final) - instance.sigma) / instance.sigma
+    residual = result.stationarity.primal_feasibility / instance.sigma
     fileio.save_result_json(args.out, result, metrics={"residual": residual})
     if args.history:
         with open(args.history, "w") as fh:
@@ -106,7 +108,7 @@ def _cmd_bench(args) -> int:
     if not _engines_known(engines):
         return 2
     config = DirConfig(outer_tol=args.tol)
-    records, aggregates = run_batch([spec], engines, args.trials,
+    records, aggregates = run_batch(spec, engines, args.trials,
                                     config=config, max_workers=args.workers)
     write_aggregate_csv(aggregates, args.out)
     if args.trials_json:

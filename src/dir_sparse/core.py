@@ -76,8 +76,8 @@ class ProblemInstance:
         """Separable concave sparsity objective sum_i psi(|x_i|)."""
         return float(np.sum(self.penalty.value(np.abs(x))))
 
-    def is_feasible(self, x, slack: float = FEASIBILITY_SLACK) -> bool:
-        return self.constraint(x) <= self.sigma + slack
+    def is_feasible(self, x) -> bool:
+        return self.constraint(x) <= self.sigma + FEASIBILITY_SLACK
 
 
 @dataclass
@@ -90,7 +90,6 @@ class SubproblemData:
     """
 
     instance: ProblemInstance
-    k: int
     x_k: np.ndarray          # current feasible outer iterate
     w: np.ndarray            # objective weights, > 0
     v: np.ndarray            # row scalings sqrt(phi'_+) of squared residuals
@@ -135,9 +134,11 @@ class InexactCertificate:
     normal-cone term; ``coupling_residual`` is the norm of
     A_k x_tilde - b_w - u_tilde.  The rest is derived here, from the
     residual: ``x_next`` is x_tilde retracted into the subproblem ball
-    (see :func:`retract`), ``subproblem_residual`` is ||A_k x_tilde - b_w||
-    and ``descent_ok`` the controlled increase
-    ||w o x_next||_1 <= ||w o x_k||_1 + mu_k.
+    (see :func:`retract`), ``subproblem_residual`` is ||A_k x_tilde - b_w||,
+    ``descent_ok`` the controlled increase
+    ||w o x_next||_1 <= ||w o x_k||_1 + mu_k, and ``criteria_met`` holds
+    when both residuals are at most the subproblem's own ``eps_k`` and
+    ``descent_ok`` holds.
     """
 
     sub: InitVar[SubproblemData]
@@ -150,17 +151,16 @@ class InexactCertificate:
     x_next: np.ndarray = field(init=False)
     subproblem_residual: float = field(init=False)
     descent_ok: bool = field(init=False)
+    criteria_met: bool = field(init=False)
 
     def __post_init__(self, sub, residual):
         self.x_next, self.subproblem_residual = _retract(
             sub, self.x_tilde, residual)
         self.descent_ok = bool(np.abs(sub.w * self.x_next).sum()
                                <= sub.ref_objective + sub.mu_k)
-
-    def criteria_met(self, eps_k: float) -> bool:
-        return bool(self.kkt_residual <= eps_k
-                    and self.coupling_residual <= eps_k
-                    and self.descent_ok)
+        self.criteria_met = bool(self.kkt_residual <= sub.eps_k
+                                 and self.coupling_residual <= sub.eps_k
+                                 and self.descent_ok)
 
 
 @dataclass
@@ -180,7 +180,7 @@ class RunResult:
     x_final: np.ndarray          # reporting point: last engine output
     x_retracted: np.ndarray      # last feasible outer iterate
     history: list
-    stationarity: Optional[StationarityReport]
+    stationarity: StationarityReport
     status: RunStatus
 
     def history_jsonl(self) -> str:
@@ -225,7 +225,7 @@ def get_engine(name: str):
         return _ENGINES[name]
     except KeyError:
         raise ValueError(
-            f"unknown engine {name!r}; registered: {sorted(_ENGINES)}") from None
+            f"unknown engine {name!r}; available: {sorted(_ENGINES)}") from None
 
 
 def available_engines():
@@ -246,10 +246,11 @@ def build_subproblem(instance: ProblemInstance, x_k: np.ndarray,
     y = instance.b - instance.A @ x_k
     phi_vals = instance.loss.value(y * y)
     cval = float(phi_vals.sum())
-    if cval > instance.sigma + FEASIBILITY_SLACK:
+    # "not <=" also rejects a NaN anchor.
+    if not cval <= instance.sigma + FEASIBILITY_SLACK:
         raise ValueError(
-            f"subproblem anchor infeasible: constraint {cval:.12g} exceeds "
-            f"sigma {instance.sigma:.12g}")
+            f"subproblem anchor infeasible: constraint {cval:.12g} is not "
+            f"within sigma {instance.sigma:.12g}")
 
     fp = instance.loss.dplus(y * y)
     v = np.sqrt(fp)
@@ -265,7 +266,7 @@ def build_subproblem(instance: ProblemInstance, x_k: np.ndarray,
     tau_k = max(5.0 ** (-k - 1), 1e-8)
     mu_k = max(1.2 ** (-k - 1), 1e-8)
     eps_k = min(sigma_k, np.sqrt(sigma_k), tau_k)
-    return SubproblemData(instance=instance, k=k, x_k=np.asarray(x_k, float),
+    return SubproblemData(instance=instance, x_k=np.asarray(x_k, float),
                           w=w, v=v, b_w=v * instance.b, sigma_k=float(sigma_k),
                           eps_k=float(eps_k), mu_k=float(mu_k), tau_k=float(tau_k))
 
@@ -359,7 +360,7 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
         if not constraint_next <= instance.sigma + FEASIBILITY_SLACK:
             status = RunStatus.CERTIFICATE_VIOLATION
             break
-        accepted = not certified or cert.criteria_met(sub.eps_k)
+        accepted = not certified or cert.criteria_met
 
         step = float(np.linalg.norm(x_next - x))
         rel_step = step / max(float(np.linalg.norm(x)), 1.0)

@@ -99,7 +99,7 @@ def result_to_dict(result, metrics=None) -> dict:
             "primal_feasibility": stat.primal_feasibility,
             "complementarity": stat.complementarity,
             "dual_residual": stat.dual_residual,
-        } if stat is not None else None,
+        },
         "metrics": dict(metrics) if metrics is not None else {},
     }
 

@@ -20,6 +20,9 @@ from .core import DirConfig, ProblemInstance, RunResult, run_dir
 from .losses import LossKind, LossSpec, PenaltySpec
 
 SUCCESS_RECOVERY_ERROR = 0.01
+# noise = NOISE_SCALE * standard Cauchy; sigma = SIGMA_FACTOR * loss(noise).
+NOISE_SCALE = 0.01
+SIGMA_FACTOR = 1.2
 
 AGGREGATE_COLUMNS = ("i", "engine", "success_pct", "iter_s", "iter_f",
                      "cpu_s", "cpu_f", "recerr_s", "recerr_f",
@@ -34,9 +37,7 @@ class InstanceSpec:
     n: int
     s: int
     delta: float = 0.05
-    epsilon: float = 0.1
-    noise_scale: float = 0.01
-    sigma_factor: float = 1.2
+    epsilon: float = PenaltySpec.epsilon
     seed: int = 0
 
     def __post_init__(self):
@@ -44,7 +45,7 @@ class InstanceSpec:
             raise ValueError("need 0 < s <= n")
         if not (0 < self.m < self.n):
             raise ValueError("need 0 < m < n")
-        if min(self.delta, self.epsilon, self.sigma_factor) <= 0:
+        if min(self.delta, self.epsilon) <= 0:
             raise ValueError("scales must be positive")
 
 
@@ -62,6 +63,7 @@ class TrialRecord:
     wall_seconds: float
     L_value: float
     setup_seconds: float         # ProblemInstance.build: QR, checks, caches
+    operator_passes: int         # matvec_calls + rmatvec_calls over the run
     status: str
     error: Optional[str] = None
 
@@ -89,10 +91,10 @@ def _draw_instance_data(spec: InstanceSpec):
 def _problem_data(spec: InstanceSpec):
     """Arguments of ProblemInstance.build for ``spec``, and x_orig."""
     A, x_orig, eta = _draw_instance_data(spec)
-    noise = spec.noise_scale * eta
+    noise = NOISE_SCALE * eta
     b = A @ x_orig + noise
     loss = LossSpec(LossKind.CAUCHY, spec.delta)
-    sigma = spec.sigma_factor * float(np.sum(loss.value(noise * noise)))
+    sigma = SIGMA_FACTOR * float(np.sum(loss.value(noise * noise)))
     return (A, b, sigma, loss, PenaltySpec(spec.epsilon)), x_orig
 
 
@@ -105,64 +107,60 @@ def generate_instance(spec: InstanceSpec):
 def compute_metrics(result: RunResult, instance: ProblemInstance,
                     x_orig: np.ndarray) -> Metrics:
     """Recovery error, relative constraint residual, and the success flag."""
-    zeta = result.x_final
-    rec = float(np.linalg.norm(zeta - x_orig)
+    rec = float(np.linalg.norm(result.x_final - x_orig)
                 / max(float(np.linalg.norm(x_orig)), 1.0))
-    res = (instance.constraint(zeta) - instance.sigma) / instance.sigma
-    return Metrics(recovery_error=rec, residual=float(res),
+    res = result.stationarity.primal_feasibility / instance.sigma
+    return Metrics(recovery_error=rec, residual=res,
                    success=rec <= SUCCESS_RECOVERY_ERROR)
 
 
-def run_trial(spec: InstanceSpec, engine: str,
-              config: Optional[DirConfig] = None) -> TrialRecord:
-    """Generate the instance for ``spec``, solve it, record the measurements."""
+def run_trial(spec: InstanceSpec, config: DirConfig) -> TrialRecord:
+    """Generate the instance for ``spec``, solve it with ``config``, record."""
     data, x_orig = _problem_data(spec)
     tic = time.perf_counter()
     instance = ProblemInstance.build(*data)
     setup = time.perf_counter() - tic
-    cfg = replace(config, engine=engine) if config is not None \
-        else DirConfig(engine=engine)
     tic = time.perf_counter()
-    result = run_dir(instance, cfg)
+    result = run_dir(instance, config)
     wall = time.perf_counter() - tic
     metrics = compute_metrics(result, instance, x_orig)
     return TrialRecord(
-        seed=spec.seed, engine=engine, success=metrics.success,
+        seed=spec.seed, engine=config.engine, success=metrics.success,
         recovery_error=metrics.recovery_error, residual=metrics.residual,
         outer_iterations=len(result.history),
         total_inner_iterations=sum(h["inner_iterations"] for h in result.history),
         wall_seconds=wall, L_value=instance.gram_lmax, setup_seconds=setup,
+        operator_passes=sum(h["matvec_calls"] + h["rmatvec_calls"]
+                            for h in result.history),
         status=result.status.value)
 
 
 def _trial_task(args):
-    spec, engine, config = args
+    spec, config = args
     try:
-        return run_trial(spec, engine, config)
+        return run_trial(spec, config)
     except Exception as exc:  # record, never abort the batch
         return TrialRecord(
-            seed=spec.seed, engine=engine, success=False,
+            seed=spec.seed, engine=config.engine, success=False,
             recovery_error=float("nan"), residual=float("nan"),
             outer_iterations=0, total_inner_iterations=0, wall_seconds=0.0,
-            L_value=float("nan"), setup_seconds=0.0, status="error",
-            error=f"{type(exc).__name__}: {exc}")
+            L_value=float("nan"), setup_seconds=0.0, operator_passes=0,
+            status="error", error=f"{type(exc).__name__}: {exc}")
 
 
-def run_batch(specs, engines, trials_per_spec: int,
+def run_batch(spec: InstanceSpec, engines, trials_per_spec: int,
               config: Optional[DirConfig] = None, max_workers: int = 1):
-    """Run ``trials_per_spec`` seeded trials of every spec/engine pair.
+    """Run ``trials_per_spec`` seeded trials of ``spec`` with each engine.
 
-    Trial t of a spec uses seed ``spec.seed + t``.  Trials are independent;
+    Trial t uses seed ``spec.seed + t`` and ``config`` (default
+    ``DirConfig()``) with its engine replaced.  Trials are independent;
     with ``max_workers > 1`` they are dispatched to worker processes and
     merged back in task order.  Returns ``(records, aggregate_rows)``
-    where the aggregate rows follow AGGREGATE_COLUMNS.
+    where the aggregate rows follow AGGREGATE_COLUMNS, one per engine.
     """
-    specs = list(specs)
-    tasks = []
-    for spec in specs:
-        for engine in engines:
-            for t in range(trials_per_spec):
-                tasks.append((replace(spec, seed=spec.seed + t), engine, config))
+    config = config or DirConfig()
+    tasks = [(replace(spec, seed=spec.seed + t), replace(config, engine=engine))
+             for engine in engines for t in range(trials_per_spec)]
 
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
@@ -170,44 +168,40 @@ def run_batch(specs, engines, trials_per_spec: int,
     else:
         records = [_trial_task(task) for task in tasks]
 
-    aggregates = aggregate_records(specs, engines, records, trials_per_spec)
+    aggregates = aggregate_records(spec, engines, records, trials_per_spec)
     return records, aggregates
 
 
-def _scale_index(spec: InstanceSpec, position: int) -> int:
-    if spec.m % 540 == 0 and spec.n == (spec.m // 540) * 2560:
-        return spec.m // 540
-    return position + 1
+def _mean(vals):
+    return float(np.mean(vals)) if vals else None
 
 
-def aggregate_records(specs, engines, records, trials_per_spec):
-    """Fold trial records into one row per (spec, engine)."""
+def aggregate_records(spec, engines, records, trials_per_spec):
+    """Fold trial records into one row per engine.
+
+    Column ``i`` is the scale index of the (540 i, 2560 i) family and 1
+    for any other shape.
+    """
+    family = spec.m % 540 == 0 and spec.n == (spec.m // 540) * 2560
     rows = []
-    idx = 0
-    for pos, spec in enumerate(specs):
-        for engine in engines:
-            chunk = records[idx:idx + trials_per_spec]
-            idx += trials_per_spec
-            succ = [r for r in chunk if r.success]
-            fail = [r for r in chunk if not r.success]
-            valid = [r for r in chunk if r.status != "error"]
-
-            def _mean(vals):
-                return float(np.mean(vals)) if vals else None
-
-            rows.append({
-                "i": _scale_index(spec, pos),
-                "engine": engine,
-                "success_pct": 100.0 * len(succ) / max(len(chunk), 1),
-                "iter_s": _mean([r.total_inner_iterations for r in succ]),
-                "iter_f": _mean([r.total_inner_iterations for r in fail]),
-                "cpu_s": _mean([r.wall_seconds for r in succ]),
-                "cpu_f": _mean([r.wall_seconds for r in fail]),
-                "recerr_s": _mean([r.recovery_error for r in succ]),
-                "recerr_f": _mean([r.recovery_error for r in fail]),
-                "res_min": min((r.residual for r in valid), default=None),
-                "res_max": max((r.residual for r in valid), default=None),
-            })
+    for pos, engine in enumerate(engines):
+        chunk = records[pos * trials_per_spec:(pos + 1) * trials_per_spec]
+        succ = [r for r in chunk if r.success]
+        fail = [r for r in chunk if not r.success]
+        valid = [r for r in chunk if r.status != "error"]
+        rows.append({
+            "i": spec.m // 540 if family else 1,
+            "engine": engine,
+            "success_pct": 100.0 * len(succ) / max(len(chunk), 1),
+            "iter_s": _mean([r.total_inner_iterations for r in succ]),
+            "iter_f": _mean([r.total_inner_iterations for r in fail]),
+            "cpu_s": _mean([r.wall_seconds for r in succ]),
+            "cpu_f": _mean([r.wall_seconds for r in fail]),
+            "recerr_s": _mean([r.recovery_error for r in succ]),
+            "recerr_f": _mean([r.recovery_error for r in fail]),
+            "res_min": min((r.residual for r in valid), default=None),
+            "res_max": max((r.residual for r in valid), default=None),
+        })
     return rows
 
 

@@ -146,8 +146,6 @@ class AssumptionReport:
 
     ok: bool
     failures: tuple
-    rank_ratio: float
-    constraint_at_zero: float
 
     def __str__(self):
         if self.ok:
@@ -182,13 +180,11 @@ def validate_assumptions(A: np.ndarray, b: np.ndarray, sigma: float,
     if nonfinite:
         return AssumptionReport(
             ok=False, failures=(f"non-finite values (NaN or inf) in "
-                                f"{', '.join(nonfinite)}",),
-            rank_ratio=math.nan, constraint_at_zero=math.nan)
+                                f"{', '.join(nonfinite)}",))
 
     failures = []
     if m > n:
         failures.append(f"matrix must be wide for full row rank: m={m} > n={n}")
-        ratio = 0.0
     else:
         ratio = rank_ratio(R)
         if ratio <= _RANK_RTOL:
@@ -208,5 +204,4 @@ def validate_assumptions(A: np.ndarray, b: np.ndarray, sigma: float,
                 f"sigma within {_SUP_COLLISION_RTOL:g}*sup(phi) of a multiple "
                 f"k*sup(phi)={phi_sup:.6g}")
 
-    return AssumptionReport(ok=not failures, failures=tuple(failures),
-                            rank_ratio=ratio, constraint_at_zero=phi_at_zero)
+    return AssumptionReport(ok=not failures, failures=tuple(failures))

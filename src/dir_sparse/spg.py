@@ -204,6 +204,8 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     certificate bounds are enforced by tightening the LASSO tolerance up
     to ``_MAX_ESCALATIONS`` times, after which the failing certificate is
     returned.  In blackbox mode the bounds are recorded but never enforced.
+    ``info["lasso_unconverged"]`` counts the LASSO solves that stopped at
+    ``_MAX_SPG_PER_LASSO`` iterations.
     """
     if mode not in ("certified", "blackbox"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -236,12 +238,13 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     total_inner = 0
     escalations = 0
     newton_steps = 0
+    lasso_unconverged = 0
     cert = None
 
     for _ in range(_MAX_NEWTON):
         if abs(phi - sigma_bar) <= root_tol:
             cert = _certificate(sub, x, r, lasso_multiplier)
-            if (not certified or cert.criteria_met(sub.eps_k)
+            if (not certified or cert.criteria_met
                     or escalations >= _MAX_ESCALATIONS):
                 break
             escalations += 1
@@ -260,9 +263,10 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
                             else max(2.0 * tau, 1.0))
 
         x0 = x if tau > 0.0 else (warm_x if warm_x is not None else x)
-        x, lasso_multiplier, iters, _, r, g = spg_lasso(sub, tau_next, x0,
-                                                        tol=lasso_tol)
+        x, lasso_multiplier, iters, converged, r, g = spg_lasso(
+            sub, tau_next, x0, tol=lasso_tol)
         total_inner += iters
+        lasso_unconverged += not converged
         newton_steps += 1
         phi = float(np.linalg.norm(r))
         slope = -float(np.abs(g / sub.w).max()) / phi if phi > 0.0 else 0.0
@@ -273,7 +277,8 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
 
     state = SpgState(tau=tau, x_lasso=x, history=history)
     info = {"iterations": total_inner, "newton_steps": newton_steps,
-            "escalations": escalations, "root_gap": abs(phi - sigma_bar)}
+            "escalations": escalations, "root_gap": abs(phi - sigma_bar),
+            "lasso_unconverged": lasso_unconverged}
     return cert, state, info
 
 

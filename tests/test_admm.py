@@ -23,7 +23,7 @@ def fabricate_sub(A, b, w, v, sigma_k, eps_k=0.5, mu_k=0.5, tau_k=0.5,
         gram_lmax=gram if gram is not None
         else float(np.linalg.eigvalsh(A @ A.T).max()))
     x_k = np.zeros(A.shape[1]) if x_k is None else np.asarray(x_k, float)
-    return SubproblemData(instance=inst, k=0, x_k=x_k, w=np.asarray(w, float),
+    return SubproblemData(instance=inst, x_k=x_k, w=np.asarray(w, float),
                           v=np.asarray(v, float), b_w=np.asarray(v, float) * b,
                           sigma_k=sigma_k, eps_k=eps_k, mu_k=mu_k, tau_k=tau_k)
 
@@ -113,7 +113,7 @@ class TestSolve:
         sub = build_random_sub(4, 10, seed=1, eps_k=-1.0)  # never accept
         monkeypatch.setattr(admm_module, "_MAX_INNER", 40)
         cert, state, info = admm_solve(sub, None)
-        assert info["iterations"] == 40 and not cert.criteria_met(sub.eps_k)
+        assert info["iterations"] == 40 and not cert.criteria_met
 
         ref = AdmmState(x=np.zeros(10), u=np.zeros(4), lam=np.zeros(4))
         for _ in range(40):
@@ -125,7 +125,7 @@ class TestSolve:
     def test_certificate_thresholds_enforced(self):
         sub = build_random_sub(5, 12, seed=2)
         cert, state, info = admm_solve(sub, None)
-        assert cert.criteria_met(sub.eps_k)
+        assert cert.criteria_met
         assert cert.kkt_residual <= sub.eps_k
         assert cert.coupling_residual <= sub.eps_k
         assert cert.descent_ok
@@ -136,7 +136,7 @@ class TestSolve:
         # descent holds at the optimum because the anchor is feasible
         sub = build_random_sub(5, 12, seed=3)
         cert, _, info = admm_solve(sub, None)
-        assert cert.criteria_met(sub.eps_k)
+        assert cert.criteria_met
         pulled = retract(sub, cert.x_tilde)
         assert np.abs(sub.w * pulled).sum() \
             <= np.abs(sub.w * sub.x_k).sum() + sub.mu_k
@@ -192,7 +192,7 @@ class TestSolve:
     def test_certificate_kkt_recomputed_exactly(self, desk_instance):
         sub, warm = self._second_subproblem(desk_instance)
         cert, state, info = admm_solve(sub, warm)
-        assert cert.criteria_met(sub.eps_k) and warm.lam.any()
+        assert cert.criteria_met and warm.lam.any()
 
         prev = ref = warm
         for _ in range(info["iterations"]):
@@ -226,7 +226,7 @@ class TestSolve:
                 accepted_at = it
                 break
             rejected.append(it)
-        assert cert.criteria_met(eps_k) and accepted_at == info["iterations"]
+        assert cert.criteria_met and accepted_at == info["iterations"]
         assert rejected, "no sweep on which the lie could have certified"
         assert info["exact_checks"] == len(rejected) + 1
         assert cert.kkt_residual <= eps_k
@@ -235,7 +235,7 @@ class TestSolve:
         sub = build_random_sub(5, 12, seed=4, eps_k=-1.0)
         monkeypatch.setattr(admm_module, "_MAX_INNER", 10)
         cert, state, info = admm_solve(sub, None)
-        assert not cert.criteria_met(sub.eps_k)
+        assert not cert.criteria_met
         assert info["iterations"] == 10
         assert math.isfinite(cert.kkt_residual)
 
@@ -263,7 +263,7 @@ class TestSolve:
         sub1 = build_subproblem(inst, x1, 1)
         cert_warm, _, info_warm = admm_solve(sub1, state0)
         cert_cold, _, info_cold = admm_solve(sub1, None)
-        assert cert_warm.criteria_met(sub1.eps_k) and cert_cold.criteria_met(sub1.eps_k)
+        assert cert_warm.criteria_met and cert_cold.criteria_met
         assert info_warm["iterations"] < info_cold["iterations"]
 
     def test_kkt_surrogate_minimum_near_termination(self, desk_instance):
@@ -277,7 +277,7 @@ class TestSolve:
         for k in range(5):
             sub = build_subproblem(inst, x, k)
             cert, warm, info = admm_solve(sub, warm)
-            assert cert.criteria_met(sub.eps_k)
+            assert cert.criteria_met
             near_end = info["best_kkt_iter"] >= info["iterations"] - 10
             tied = cert.kkt_residual <= 5.0 * info["best_kkt"]
             assert near_end or tied

@@ -186,7 +186,9 @@ class TestBenchCli:
         header = out.read_text().splitlines()[0]
         assert header == "i,engine,success_pct,iter_s,iter_f,cpu_s,cpu_f," \
                          "recerr_s,recerr_f,res_min,res_max"
-        assert len(json.loads(trials.read_text())) == 2
+        loaded = json.loads(trials.read_text())
+        assert len(loaded) == 2
+        assert all(rec["operator_passes"] > 0 for rec in loaded)
 
     def test_bench_rejects_unknown_engine(self, tmp_path, capsys):
         rc = main(["bench", "--m", "16", "--n", "48", "--s", "3",
@@ -199,8 +201,8 @@ class TestBenchCli:
         import dir_sparse.cli as cli
         captured = {}
 
-        def fake_run_batch(specs, engines, trials, config=None, max_workers=1):
-            captured["spec"] = specs[0]
+        def fake_run_batch(spec, engines, trials, config=None, max_workers=1):
+            captured["spec"] = spec
             return [], []
 
         monkeypatch.setattr(cli, "run_batch", fake_run_batch)

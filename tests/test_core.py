@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dir_sparse
-from dir_sparse import (DirConfig, InexactCertificate, LossKind, LossSpec,
-                        PenaltySpec, RunStatus, build_subproblem,
-                        register_engine, retract, run_dir, stationarity_report)
+from dir_sparse import (DirConfig, InexactCertificate, InstanceSpec, LossKind,
+                        LossSpec, PenaltySpec, RunStatus, build_subproblem,
+                        generate_instance, register_engine, retract, run_dir,
+                        stationarity_report)
 from dir_sparse.core import FEASIBILITY_SLACK, ProblemInstance
 
 from conftest import ALL_KINDS, make_instance
@@ -84,6 +85,13 @@ class TestBuildSubproblem:
         bad = inst.least_norm + 100.0 * np.ones(12)
         assert not inst.is_feasible(bad)
         with pytest.raises(ValueError):
+            build_subproblem(inst, bad, 0)
+
+    def test_nan_anchor_rejected(self):
+        inst = make_instance(5, 12, seed=3)
+        bad = inst.least_norm.copy()
+        bad[2] = np.nan
+        with pytest.raises(ValueError, match="anchor infeasible"):
             build_subproblem(inst, bad, 0)
 
     def test_schedules_enter_subproblem(self):
@@ -382,7 +390,8 @@ class TestRunDir:
 
     @pytest.mark.parametrize("engine, keys", [
         ("admm", {"best_kkt", "best_kkt_iter", "exact_checks"}),
-        ("spg", {"newton_steps", "escalations", "root_gap"}),
+        ("spg", {"newton_steps", "escalations", "root_gap",
+                 "lasso_unconverged"}),
     ])
     def test_history_carries_engine_info(self, desk_instance, engine, keys):
         inst, _ = desk_instance
@@ -426,3 +435,27 @@ class TestRunDir:
         # consecutive objective values chain together
         for prev, cur in zip(hist, hist[1:]):
             assert cur["objective"] == pytest.approx(prev["objective_next"])
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("engine", ["admm", "spg", "spg-blackbox"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signed_column_permutation(self, seed, engine):
+        # Replacing A by A[:, perm] * signs maps every feasible x to
+        # signs * x[perm] with the same residual and the same objective, so
+        # the solve must map the same way, up to rounding.
+        inst, _ = generate_instance(InstanceSpec(m=54, n=256, s=8, seed=seed))
+        rng = np.random.default_rng(100 + seed)
+        perm = rng.permutation(256)
+        signs = rng.choice([-1.0, 1.0], size=256)
+        moved = ProblemInstance.build(inst.A[:, perm] * signs, inst.b,
+                                      inst.sigma, inst.loss, inst.penalty)
+        config = DirConfig(engine=engine)
+        res = run_dir(inst, config)
+        res_moved = run_dir(moved, config)
+        want = signs * res.x_final[perm]
+        assert res_moved.status is res.status
+        assert len(res_moved.history) == len(res.history)
+        np.testing.assert_array_equal(res_moved.x_final != 0.0, want != 0.0)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert float(np.abs(res_moved.x_final - want).max()) / scale <= 1e-9

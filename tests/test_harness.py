@@ -7,7 +7,9 @@ import pytest
 
 from dir_sparse import (DirConfig, InstanceSpec, RunStatus, compute_metrics,
                         generate_instance, run_batch, run_dir, run_trial)
-from dir_sparse.harness import (AGGREGATE_COLUMNS, _draw_instance_data,
+from dir_sparse import harness
+from dir_sparse.harness import (AGGREGATE_COLUMNS, NOISE_SCALE, SIGMA_FACTOR,
+                                _draw_instance_data,
                                 aggregate_records, write_aggregate_csv,
                                 write_trials_json)
 
@@ -43,9 +45,10 @@ class TestGeneration:
         a2, _ = generate_instance(InstanceSpec(seed=1, **TINY))
         assert not np.array_equal(a1.A, a2.A)
 
-    def test_zero_noise_rejected(self):
+    def test_zero_noise_rejected(self, monkeypatch):
+        monkeypatch.setattr(harness, "NOISE_SCALE", 0.0)
         with pytest.raises(ValueError, match="assumptions"):
-            generate_instance(InstanceSpec(seed=0, noise_scale=0.0, **TINY))
+            generate_instance(InstanceSpec(seed=0, **TINY))
 
     def test_support_size_and_noise_identity(self):
         spec = InstanceSpec(seed=7, **TINY)
@@ -58,14 +61,14 @@ class TestGeneration:
         assert np.array_equal(x2, x_orig)
         signal = inst.A @ x_orig
         atol = 64 * np.finfo(float).eps * float(np.abs(signal).max())
-        np.testing.assert_allclose(inst.b - signal, spec.noise_scale * eta,
+        np.testing.assert_allclose(inst.b - signal, NOISE_SCALE * eta,
                                    rtol=0, atol=atol)
 
     def test_sigma_formula(self):
         spec = InstanceSpec(seed=3, **TINY)
         inst, x_orig = generate_instance(spec)
         noise = inst.b - inst.A @ x_orig
-        expected = spec.sigma_factor * float(
+        expected = SIGMA_FACTOR * float(
             np.sum(np.log1p((noise / spec.delta) ** 2)))
         assert inst.sigma == pytest.approx(expected, rel=1e-12)
 
@@ -122,7 +125,7 @@ class TestMetrics:
 class TestTrialsAndBatch:
     def test_single_trial_record(self):
         spec = InstanceSpec(seed=1, **TINY)
-        rec = run_trial(spec, "admm")
+        rec = run_trial(spec, DirConfig(engine="admm"))
         assert rec.engine == "admm"
         assert rec.seed == 1
         assert rec.status == RunStatus.CONVERGED.value
@@ -132,9 +135,16 @@ class TestTrialsAndBatch:
         assert rec.wall_seconds > 0
         assert rec.L_value > 0 and rec.setup_seconds > 0
 
+    def test_operator_passes_sum_history(self):
+        spec = InstanceSpec(seed=1, **TINY)
+        rec = run_trial(spec, DirConfig(engine="spg"))
+        result = run_dir(generate_instance(spec)[0], DirConfig(engine="spg"))
+        assert rec.operator_passes == sum(
+            h["matvec_calls"] + h["rmatvec_calls"] for h in result.history) > 0
+
     def test_batch_single_trial_aggregate_equals_record(self):
         spec = InstanceSpec(seed=2, **TINY)
-        records, rows = run_batch([spec], ["admm"], trials_per_spec=1)
+        records, rows = run_batch(spec, ["admm"], trials_per_spec=1)
         assert len(records) == 1 and len(rows) == 1
         rec, row = records[0], rows[0]
         assert row["engine"] == "admm"
@@ -145,14 +155,14 @@ class TestTrialsAndBatch:
 
     def test_batch_seeds_increment(self):
         spec = InstanceSpec(seed=10, **TINY)
-        records, _ = run_batch([spec], ["admm"], trials_per_spec=3)
+        records, _ = run_batch(spec, ["admm"], trials_per_spec=3)
         assert [r.seed for r in records] == [10, 11, 12]
 
     def test_batch_parallel_matches_serial(self):
         spec = InstanceSpec(seed=4, **TINY)
-        serial, _ = run_batch([spec], ["admm"], trials_per_spec=2)
-        parallel, _ = run_batch([spec], ["admm"], trials_per_spec=2,
-                                max_workers=2)
+        serial, _ = run_batch(spec, ["admm"], trials_per_spec=2)
+        parallel, _ = run_batch(spec, ["admm"], trials_per_spec=2,
+                                  max_workers=2)
         for a, b in zip(serial, parallel):
             assert a.seed == b.seed
             assert a.recovery_error == b.recovery_error
@@ -160,22 +170,23 @@ class TestTrialsAndBatch:
 
     def test_failures_recorded_not_raised(self):
         spec = InstanceSpec(seed=5, **TINY)
-        records, rows = run_batch([spec], ["no-such-engine"], trials_per_spec=2)
+        records, rows = run_batch(spec, ["no-such-engine"], trials_per_spec=2)
         assert all(r.status == "error" for r in records)
         assert all(not r.success for r in records)
         assert all("unknown engine" in r.error for r in records)
+        assert all(r.operator_passes == 0 for r in records)
         assert rows[0]["success_pct"] == 0.0
         assert rows[0]["res_min"] is None
 
     def test_aggregation_is_pure_fold(self):
         spec = InstanceSpec(seed=6, **TINY)
-        records, rows = run_batch([spec], ["admm"], trials_per_spec=2)
-        again = aggregate_records([spec], ["admm"], records, 2)
+        records, rows = run_batch(spec, ["admm"], trials_per_spec=2)
+        again = aggregate_records(spec, ["admm"], records, 2)
         assert rows == again
 
     def test_csv_schema(self, tmp_path):
         spec = InstanceSpec(seed=7, **TINY)
-        _, rows = run_batch([spec], ["admm"], trials_per_spec=1)
+        _, rows = run_batch(spec, ["admm"], trials_per_spec=1)
         out = tmp_path / "agg.csv"
         write_aggregate_csv(rows, out)
         with open(out, newline="") as fh:
@@ -189,7 +200,7 @@ class TestTrialsAndBatch:
 
     def test_trials_json_roundtrip(self, tmp_path):
         spec = InstanceSpec(seed=8, **TINY)
-        records, _ = run_batch([spec], ["admm"], trials_per_spec=1)
+        records, _ = run_batch(spec, ["admm"], trials_per_spec=1)
         out = tmp_path / "trials.json"
         write_trials_json(records, out)
         loaded = json.loads(out.read_text())
@@ -198,13 +209,16 @@ class TestTrialsAndBatch:
         assert set(loaded[0]) == {
             "seed", "engine", "success", "recovery_error", "residual",
             "outer_iterations", "total_inner_iterations", "wall_seconds",
-            "L_value", "setup_seconds", "status", "error"}
+            "L_value", "setup_seconds", "operator_passes", "status", "error"}
 
     def test_scale_index_family(self):
         spec = InstanceSpec(m=540, n=2560, s=80, seed=0)
-        records = [run_trial(InstanceSpec(seed=0, **TINY), "admm")]
-        rows = aggregate_records([spec], ["admm"], records, 1)
+        records = [run_trial(InstanceSpec(seed=0, **TINY),
+                             DirConfig(engine="admm"))]
+        rows = aggregate_records(spec, ["admm"], records, 1)
         assert rows[0]["i"] == 1
+        double = InstanceSpec(m=1080, n=5120, s=160, seed=0)
+        assert aggregate_records(double, ["admm"], records, 1)[0]["i"] == 2
         other = InstanceSpec(seed=0, **TINY)
-        rows = aggregate_records([other], ["admm"], records, 1)
-        assert rows[0]["i"] == 1  # non-family falls back to position
+        rows = aggregate_records(other, ["admm"], records, 1)
+        assert rows[0]["i"] == 1  # any shape outside the family

@@ -16,7 +16,7 @@ def one_dim_sub(b=2.0, sigma_k=1.0, x_k=1.5, eps_k=1e-6, mu_k=0.5, tau_k=1e-6):
                            loss=LossSpec(LossKind.CAUCHY, 1.0),
                            penalty=PenaltySpec(0.1),
                            least_norm=np.array([b]), gram_lmax=1.0)
-    return SubproblemData(instance=inst, k=0, x_k=np.array([x_k]),
+    return SubproblemData(instance=inst, x_k=np.array([x_k]),
                           w=np.array([1.0]), v=np.array([1.0]),
                           b_w=np.array([b]), sigma_k=sigma_k, eps_k=eps_k,
                           mu_k=mu_k, tau_k=tau_k)
@@ -90,7 +90,7 @@ class TestParetoNewton:
         # root tau = 1 in one step and certifies on re-evaluation.
         sub = one_dim_sub(b=2.0, sigma_k=1.0)
         cert, state, info = pareto_newton(sub, None, "certified")
-        assert cert.criteria_met(sub.eps_k)
+        assert cert.criteria_met
         assert info["newton_steps"] <= 2
         assert state.tau == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(cert.x_tilde, [1.0], atol=1e-12)
@@ -182,13 +182,24 @@ class TestParetoNewton:
         monkeypatch.setattr(spg_module, "_MAX_NEWTON", 6)
         cert, state, info = pareto_newton(sub, None, "blackbox")
         assert info["escalations"] == 0
-        assert not cert.criteria_met(sub.eps_k)
+        assert not cert.criteria_met
+
+    def test_capped_lasso_solves_counted(self, monkeypatch):
+        sub = random_sub(6, 14, seed=7)
+        _, _, info = pareto_newton(sub, None, "blackbox")
+        assert info["lasso_unconverged"] == 0
+        monkeypatch.setattr(spg_module, "_MAX_SPG_PER_LASSO", 2)
+        _, _, info = pareto_newton(sub, None, "blackbox")
+        assert 0 < info["lasso_unconverged"] <= info["newton_steps"]
+        inst = make_instance(6, 14, seed=7)
+        res = run_dir(inst, DirConfig(engine="spg-blackbox", max_outer=1))
+        assert res.history[0]["lasso_unconverged"] > 0
 
     def test_certified_reports_failure_when_exhausted(self):
         sub = random_sub(6, 14, seed=8)
         sub.eps_k = 1e-15    # unreachable
         cert, state, info = pareto_newton(sub, None, "certified")
-        assert not cert.criteria_met(sub.eps_k)
+        assert not cert.criteria_met
         assert info["escalations"] == spg_module._MAX_ESCALATIONS
 
 
