@@ -93,7 +93,10 @@ def _cmd_solve(args) -> int:
             fh.write(result.history_jsonl() + "\n")
     print(f"status={result.status.value} iterations={len(result.history)} "
           f"residual={residual:.3e} -> {args.out}")
-    failed = (RunStatus.SUBPROBLEM_FAILURE, RunStatus.CERTIFICATE_VIOLATION)
+    if result.error is not None:
+        print(f"engine {args.engine} raised {result.error}", file=sys.stderr)
+    failed = (RunStatus.SUBPROBLEM_FAILURE, RunStatus.CERTIFICATE_VIOLATION,
+              RunStatus.ENGINE_ERROR)
     return 1 if result.status in failed else 0
 
 

@@ -132,7 +132,7 @@ def run_trial(spec: InstanceSpec, config: DirConfig) -> TrialRecord:
         wall_seconds=wall, L_value=instance.gram_lmax, setup_seconds=setup,
         operator_passes=sum(h["matvec_calls"] + h["rmatvec_calls"]
                             for h in result.history),
-        status=result.status.value)
+        status=result.status.value, error=result.error)
 
 
 def _trial_task(args):

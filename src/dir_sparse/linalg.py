@@ -1,10 +1,12 @@
 """Dense linear-algebra kernels shared by the solvers.
 
-The setup quantities come from the thin QR A.T = Q R of a wide matrix,
-factored once per instance by the caller: the rank test reads the
-diagonal of R, the least-norm point is Q (R^-T b), and the spectral bound
-on A A.T = R.T R is ||R||_2^2.  The prox/projection operators are exact
-closed forms or exact breakpoint searches.
+The setup quantities come from the triangular factor R of the QR
+factorization A.T = Q R of a wide matrix, taken once per instance by the
+caller; Q is never formed.  The rank test reads the diagonal of R, the
+least-norm point comes from the corrected semi-normal equations
+A A.T y = b with A A.T = R.T R, and the spectral bound on A A.T is
+||R||_2^2.  The prox/projection operators are exact closed forms or exact
+breakpoint searches.
 """
 
 import numpy as np
@@ -20,15 +22,23 @@ def rank_ratio(R: np.ndarray) -> float:
     return float(rdiag.min() / rdiag.max()) if rdiag.max() > 0 else 0.0
 
 
-def least_norm_solution(Q: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of A x = b from the thin QR A.T = Q R.
+def least_norm_solution(A: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of A x = b from the R factor of A.T = Q R.
 
-    A must be wide with full row rank; the solution is Q (R^-T b).
+    A must be wide with full row rank.  The point x = A.T R^-1 R^-T b is
+    corrected by one refinement step with the residual b - A x (corrected
+    semi-normal equations, Bjorck 1987), which brings its residual on a
+    badly scaled A back to that of the Q-based formula Q (R^-T b).
     """
     if rank_ratio(R) <= _RANK_RTOL:
         raise np.linalg.LinAlgError(
             "matrix is numerically rank deficient; least-norm solve is singular")
-    return Q @ np.linalg.solve(R.T, b)
+
+    def seminormal(c):
+        return A.T @ np.linalg.solve(R, np.linalg.solve(R.T, c))
+
+    x = seminormal(b)
+    return x + seminormal(b - A @ x)
 
 
 def lambda_max_gram(M: np.ndarray) -> float:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dir_sparse import InstanceSpec, generate_instance
+from dir_sparse import InstanceSpec, generate_instance, register_engine
 from dir_sparse import fileio
 from dir_sparse.cli import main
 
@@ -166,6 +166,21 @@ class TestSolveCli:
         err = capsys.readouterr().err
         assert "unknown engine 'nope'; available: ['admm'," in err
         assert not (tmp_path / "r.json").exists()
+
+    def test_solve_reports_engine_error(self, instance_files, capsys):
+        def raising_solve(sub, warm):
+            raise RuntimeError("boom")
+
+        register_engine("raise-cli-test", raising_solve, certified=False)
+        tmp, inst, a_path, b_path = instance_files
+        out = tmp / "raised.json"
+        rc = main(["solve", "--matrix", str(a_path), "--rhs", str(b_path),
+                   "--sigma", str(inst.sigma), "--engine", "raise-cli-test",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "RuntimeError: boom" in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        assert payload["status"] == "engine-error" and payload["history"] == []
 
     def test_solve_rejects_bad_loss(self, instance_files, capsys):
         tmp, inst, a_path, b_path = instance_files

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from dir_sparse import (DirConfig, InexactCertificate, InstanceSpec, LossKind,
                         LossSpec, PenaltySpec, RunStatus, build_subproblem,
                         generate_instance, register_engine, retract, run_dir,
                         stationarity_report)
-from dir_sparse.core import FEASIBILITY_SLACK, ProblemInstance
+from dir_sparse.core import FEASIBILITY_SLACK, ProblemInstance, SubproblemData
+from dir_sparse.harness import _problem_data
 
 from conftest import ALL_KINDS, make_instance
 
@@ -45,6 +47,21 @@ class TestProblemInstance:
         assert inst.gram_lmax == pytest.approx(
             float(np.linalg.norm(inst.A, 2)) ** 2, rel=1e-12)
 
+    def test_build_memory_stays_near_one_copy_of_a(self):
+        # Q is never formed and the column-major copy of A is taken after
+        # the QR has freed its work arrays.  Forming Q, or copying A before
+        # the QR, peaked at about 2.24 A.nbytes.
+        data, _ = _problem_data(InstanceSpec(m=540, n=2560, s=80, seed=0))
+        A = data[0]
+        tracemalloc.start()
+        try:
+            inst = ProblemInstance.build(*data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * A.nbytes
+        assert inst.A.flags.f_contiguous
+
     def test_build_rejects_bad_sigma(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((4, 9))
@@ -52,6 +69,39 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ProblemInstance.build(A, b, 0.0, LossSpec(LossKind.CAUCHY, 1.0),
                                   PenaltySpec(0.1))
+
+
+def gather_sub(m=300, n=600, seed=0):
+    """A subproblem on a fabricated column-major A of 1.44 MB."""
+    rng = np.random.default_rng(seed)
+    A = np.asfortranarray(rng.standard_normal((m, n)))
+    b = rng.standard_normal(m)
+    v = rng.uniform(0.5, 2.0, m)
+    inst = ProblemInstance(A=A, b=b, sigma=1.0, loss=LossSpec(LossKind.CAUCHY, 1.0),
+                           penalty=PenaltySpec(0.1), least_norm=np.zeros(n),
+                           gram_lmax=1.0)
+    return SubproblemData(instance=inst, x_k=np.zeros(n), w=np.ones(n), v=v,
+                          b_w=v * b, sigma_k=1.0, eps_k=1.0, mu_k=1.0, tau_k=1.0)
+
+
+class TestMatvecGather:
+    # A fifth of n = 600 is 120: up to 120 nonzeros the product gathers.
+    @pytest.mark.parametrize("nnz, columns", [
+        (0, 0), (1, 1), (37, 37), (120, 120), (121, 600), (600, 600)])
+    def test_path_and_value(self, nnz, columns):
+        sub = gather_sub()
+        A = sub.instance.A
+        assert A.nbytes > 2 ** 20
+        rng = np.random.default_rng(nnz)
+        x = np.zeros(600)
+        x[rng.choice(600, size=nnz, replace=False)] = rng.standard_normal(nnz)
+        got = sub.matvec(x)
+        assert sub.matvec_calls == 1 and sub.matvec_columns == columns
+        want = sub.v * (A @ x)
+        bound = 1e-13 * np.linalg.norm(A, 2) * np.linalg.norm(x)
+        assert np.linalg.norm(got - want) <= bound
+        if nnz == 0:
+            np.testing.assert_array_equal(got, 0.0)
 
 
 class TestBuildSubproblem:
@@ -304,6 +354,20 @@ class _LyingEngine:
         return cert, None, {"iterations": 1}
 
 
+class _RaisingEngine:
+    """Answers at its anchor, then raises ``exc`` on its second call."""
+
+    def __init__(self, exc):
+        self.exc = exc
+        self.calls = 0
+
+    def solve(self, sub, warm):
+        self.calls += 1
+        if self.calls == 2:
+            raise self.exc
+        return _certificate_at(sub, sub.x_k, 0.0, 0.0), None, {"iterations": 1}
+
+
 def certificate_violation_run(certified=True):
     """Run the lying engine; returns (instance, result)."""
     register_engine("lying-test", _LyingEngine().solve, certified=certified)
@@ -375,6 +439,35 @@ class TestRunDir:
                              env={**os.environ, "PYTHONPATH": path})
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["1", "certificate-violation", "1"]
+
+    def test_engine_error_keeps_partial_history(self):
+        register_engine("raise-test", _RaisingEngine(RuntimeError("boom")).solve,
+                        certified=False)
+        inst = make_instance(5, 12, seed=19)
+        res = run_dir(inst, DirConfig(engine="raise-test", max_outer=10,
+                                      outer_tol=-1.0))
+        assert res.status is RunStatus.ENGINE_ERROR
+        assert res.status.value == "engine-error"
+        assert res.error == "RuntimeError: boom"
+        assert len(res.history) == 1 and res.history[0]["k"] == 0
+        assert inst.is_feasible(res.x_retracted)
+
+    def test_keyboard_interrupt_propagates(self):
+        register_engine("interrupt-test",
+                        _RaisingEngine(KeyboardInterrupt()).solve, certified=False)
+        inst = make_instance(5, 12, seed=19)
+        with pytest.raises(KeyboardInterrupt):
+            run_dir(inst, DirConfig(engine="interrupt-test", max_outer=10,
+                                    outer_tol=-1.0))
+
+    @pytest.mark.parametrize("engine", ["admm", "spg"])
+    def test_matvec_columns_dense_on_desk(self, desk_instance, engine):
+        # The desk A stays on the dense path, so every matvec reads all n.
+        inst, _ = desk_instance
+        res = run_dir(inst, DirConfig(engine=engine))
+        assert res.status is RunStatus.CONVERGED and res.error is None
+        for rec in res.history:
+            assert rec["matvec_columns"] == 256 * rec["matvec_calls"]
 
     def test_history_jsonl_parses(self):
         inst = make_instance(6, 15, seed=17)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dir_sparse import (DirConfig, InstanceSpec, RunStatus, compute_metrics,
-                        generate_instance, run_batch, run_dir, run_trial)
+                        generate_instance, register_engine, run_batch, run_dir,
+                        run_trial)
 from dir_sparse import harness
 from dir_sparse.harness import (AGGREGATE_COLUMNS, NOISE_SCALE, SIGMA_FACTOR,
                                 _draw_instance_data,
@@ -177,6 +178,16 @@ class TestTrialsAndBatch:
         assert all(r.operator_passes == 0 for r in records)
         assert rows[0]["success_pct"] == 0.0
         assert rows[0]["res_min"] is None
+
+    def test_engine_error_recorded(self):
+        def raising_solve(sub, warm):
+            raise RuntimeError("boom")
+
+        register_engine("raise-trial-test", raising_solve, certified=False)
+        rec = run_trial(InstanceSpec(seed=5, **TINY),
+                        DirConfig(engine="raise-trial-test"))
+        assert rec.status == "engine-error" and rec.error == "RuntimeError: boom"
+        assert rec.outer_iterations == 0 and rec.operator_passes == 0
 
     def test_aggregation_is_pure_fold(self):
         spec = InstanceSpec(seed=6, **TINY)

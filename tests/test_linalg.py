@@ -32,21 +32,45 @@ def oracle_weighted_l1_projection(y, w, tau, tol=1e-14):
     return np.sign(y) * np.maximum(a - theta * w, 0.0)
 
 
+def r_factor(A):
+    return np.linalg.qr(A.T, mode="r")
+
+
+def badly_scaled(kind, seed, m=54, n=256):
+    """(A, b) with cond(A) about 1e8.
+
+    "rows" scales the rows of a Gaussian A from 1 to 1e-8.  "graded" is
+    A = U diag(s) V.T with s from 1 to 1e-8, so its conditioning does not
+    come from the scale of its rows and the semi-normal equations alone
+    lose about cond(A) digits more than a QR-based solve.
+    """
+    rng = np.random.default_rng(seed)
+    scale = np.logspace(0, -8, m)[:, None]
+    if kind == "rows":
+        A = scale * rng.standard_normal((m, n))
+    else:
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, m)))[0]
+        A = U @ (scale * V.T)
+    return A, rng.standard_normal(m)
+
+
 class TestLeastNorm:
     def test_identity(self):
-        x = least_norm_solution(*np.linalg.qr(np.eye(2).T), np.array([3.0, 4.0]))
+        A = np.eye(2)
+        x = least_norm_solution(A, r_factor(A), np.array([3.0, 4.0]))
         np.testing.assert_allclose(x, [3.0, 4.0])
 
     def test_symmetric_min_norm(self):
-        x = least_norm_solution(*np.linalg.qr(np.array([[1.0, 1.0]]).T),
-                                np.array([2.0]))
+        A = np.array([[1.0, 1.0]])
+        x = least_norm_solution(A, r_factor(A), np.array([2.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
 
     def test_random_residual_and_row_space(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((5, 20))
         b = rng.standard_normal(5)
-        x = least_norm_solution(*np.linalg.qr(A.T), b)
+        x = least_norm_solution(A, r_factor(A), b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
         # x must be orthogonal to null-space samples
         for _ in range(5):
@@ -57,7 +81,22 @@ class TestLeastNorm:
     def test_rank_deficient_raises(self):
         A = np.ones((2, 5))
         with pytest.raises(np.linalg.LinAlgError):
-            least_norm_solution(*np.linalg.qr(A.T), np.array([1.0, 1.0]))
+            least_norm_solution(A, r_factor(A), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["rows", "graded"])
+    def test_badly_scaled_matches_qr_formula(self, kind, seed):
+        A, b = badly_scaled(kind, seed)
+        assert 5e7 <= np.linalg.cond(A) <= 5e8
+        Q, R = np.linalg.qr(A.T)
+        x_qr = Q @ np.linalg.solve(R.T, b)
+        x = least_norm_solution(A, r_factor(A), b)
+
+        def rel_residual(y):
+            return np.linalg.norm(A @ y - b) / np.linalg.norm(b)
+
+        assert rel_residual(x) <= 2.0 * rel_residual(x_qr)
+        assert np.linalg.norm(x - Q @ (Q.T @ x)) <= 1e-8 * np.linalg.norm(x)
 
 
 class TestLambdaMax:
