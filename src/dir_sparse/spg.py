@@ -4,9 +4,13 @@ The subproblem min ||w o x||_1 s.t. ||A_k x - b_w|| <= sigma_bar is solved
 through its Pareto curve: the optimal value tau* is the root of
 phi(tau) = sigma_bar, where phi(tau) is the optimal residual norm of the
 tau-constrained weighted LASSO.  Each phi evaluation is a projected
-gradient solve with Barzilai-Borwein steps and a nonmonotone line search;
-the root is tracked by safeguarded Newton steps using the dual-norm slope
-phi'(tau) = -||A_k^T r / w||_inf / ||r||.
+gradient solve with Barzilai-Borwein steps and a nonmonotone line search
+along the fixed projected direction d = P(x - alpha g) - x, so that an
+iteration spends one projection, one product A_k d and one product
+A_k^T r.  It stops on the bound ||d|| max(1, 1/alpha) on the unit-step
+fixed-point residual and recomputes its residual and gradient exactly at
+exit.  The root is tracked by safeguarded Newton steps using the
+dual-norm slope phi'(tau) = -||A_k^T r / w||_inf / ||r||.
 
 Two modes: "certified" keeps tightening the LASSO tolerance until the
 subproblem certificate passes its inexactness bounds (honestly reporting
@@ -62,21 +66,31 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
               tol: float | None = None):
     """Approximately minimize 0.5 ||A_k x - b_w||^2 over ||w o x||_1 <= tau.
 
-    Projected gradient iterations with BB step sizes clamped to
-    [_ALPHA_MIN, _ALPHA_MAX] and an Armijo backtracking test against the max
-    of the last ``_NONMONOTONE_MEMORY`` objective values.  Stops when the
-    relative step or the relative duality gap reaches ``tol`` (default
-    ``_LASSO_TOL``), confirmed by
-    the unit-step fixed-point residual staying within 10 * tol.
+    Projected gradient iterations with BB step sizes alpha clamped to
+    [_ALPHA_MIN, _ALPHA_MAX].  Each iteration projects once, for the
+    direction d = P(x - alpha g) - x, and spends one ``matvec`` on A_k d and
+    one ``rmatvec`` on the new gradient.  The step x + s d is searched along
+    that fixed direction (SPGL1's projected search, van den Berg &
+    Friedlander 2008): s = 1, 1/2, ... until the Armijo test against the max
+    of the last ``_NONMONOTONE_MEMORY`` objective values holds, with the
+    residual r - s A_k d, so backtracking spends no product and no
+    projection.
 
-    Returns ``(x, lasso_multiplier, iterations, converged, r, g)`` with
-    the final residual r = b_w - A_k x and gradient g = -A_k^T r.  The
-    multiplier is the shrinkage multiplier of a unit-step gradient
-    projection at the final iterate; at a fixed point the projection
-    multiplier scales linearly with the step, so the unit-step probe is
-    the exact KKT scalar there (and is insensitive to the incidental step
-    size of the last accepted move, whose projection may have been
-    inactive).
+    Stops when the relative step or the relative duality gap reaches
+    ``tol`` (default ``_LASSO_TOL``) and the next direction d gives
+    ||d|| max(1, 1/alpha) <= 10 tol max(||x||, 1).  Since ||P(x - t g) - x||
+    grows with t and shrinks divided by t (Calamai & More 1987), that value
+    bounds the unit-step fixed-point residual ||P(x - g) - x||.
+
+    Returns ``(x, lasso_multiplier, iterations, converged, r, g)``.  The
+    residual carried through the iterations drifts by rounding, so the
+    final residual r = b_w - A_k x and gradient g = -A_k^T r are recomputed
+    exactly at exit.  The multiplier is the shrinkage multiplier of a
+    unit-step gradient projection at the final iterate; at a fixed point
+    the projection multiplier scales linearly with the step, so the
+    unit-step probe is the exact KKT scalar there (and is insensitive to
+    the incidental step size of the last move, whose projection may have
+    been inactive).
     """
     tol = _LASSO_TOL if tol is None else tol
     if tau < 0:
@@ -87,14 +101,13 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
         r = sub.b_w.copy()
         return np.zeros(n), 0.0, 0, True, r, -sub.rmatvec(r)
 
-    x = np.zeros(n) if warm is None else np.asarray(warm, dtype=float)
-    x = project_weighted_l1_ball(x, w, tau)
+    x = np.zeros(n) if warm is None else project_weighted_l1_ball(
+        np.asarray(warm, dtype=float), w, tau)
     r = sub.b_w - sub.matvec(x)
-    f = 0.5 * float(r @ r)
     g = -sub.rmatvec(r)
     alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, 1.0 / max(np.abs(g).max(), _TINY)))
-    recent = deque([f], maxlen=_NONMONOTONE_MEMORY)
-    lam = 0.0
+    d = project_weighted_l1_ball(x - alpha * g, w, tau) - x
+    recent = deque([0.5 * float(r @ r)], maxlen=_NONMONOTONE_MEMORY)
     converged = False
     it = 0
 
@@ -104,19 +117,18 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
         # Allowance for float cancellation in f; without it the test can
         # never pass near a fixed point and backtracking kills the step.
         slack = f_noise * max(1.0, f_ref)
-        step = alpha
-        for _ in range(60):
-            y = x - step * g
-            x_new = project_weighted_l1_ball(y, w, tau)
-            r_new = sub.b_w - sub.matvec(x_new)
+        Ad = sub.matvec(d)
+        gd = float(g @ d)
+        for k in range(60):
+            s = 0.5 ** k
+            r_new = r - s * Ad
             f_new = 0.5 * float(r_new @ r_new)
-            if f_new <= f_ref + _ARMIJO_CONST * float(g @ (x_new - x)) + slack:
+            if f_new <= f_ref + _ARMIJO_CONST * s * gd + slack:
                 break
-            step *= 0.5
+        x_new = x + s * d
         g_new = -sub.rmatvec(r_new)
 
-        dx = x_new - x
-        step_norm = float(np.linalg.norm(dx))
+        dx = s * d
         dual_norm = float(np.abs(g_new / w).max())
         gap = tau * dual_norm + float(x_new @ g_new)
         rel_gap = abs(gap) / max(1.0, f_new)
@@ -125,32 +137,31 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
         gap_noise = 100.0 * np.finfo(float).eps \
             * (tau * dual_norm + float(np.abs(x_new * g_new).sum())) \
             / max(1.0, f_new)
-        rel_step = step_norm / max(float(np.linalg.norm(x)), 1.0)
+        rel_step = float(np.linalg.norm(dx)) / max(float(np.linalg.norm(x)), 1.0)
 
         # BB step from the accepted move.
-        dg = g_new - g
-        sy = float(dx @ dg)
+        sy = float(dx @ (g_new - g))
         if sy > _TINY:
             alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, float(dx @ dx) / sy))
         else:
             alpha = _ALPHA_MAX
-        x, r, f, g = x_new, r_new, f_new, g_new
-        recent.append(f)
+        x, r, g = x_new, r_new, g_new
+        recent.append(f_new)
+        d = project_weighted_l1_ball(x - alpha * g, w, tau) - x
 
-        if rel_step <= tol or (rel_gap <= tol and tol >= gap_noise):
-            # A tiny BB step alone does not certify optimality (alpha may
-            # just be small); confirm with the unit-step fixed-point
-            # residual before stopping.
-            probe = project_weighted_l1_ball(x - g, w, tau)
-            fp_norm = float(np.linalg.norm(x - probe))
-            if fp_norm <= 10.0 * tol * max(float(np.linalg.norm(x)), 1.0):
-                lam = _projection_multiplier(x - g, probe, w)
-                converged = True
-                break
+        # A tiny BB step alone does not certify optimality (alpha may just
+        # be small); the next direction bounds the unit-step fixed-point
+        # residual, which must stay within 10 * tol.
+        if (rel_step <= tol or (rel_gap <= tol and tol >= gap_noise)) \
+                and float(np.linalg.norm(d)) * max(1.0, 1.0 / alpha) \
+                <= 10.0 * tol * max(float(np.linalg.norm(x)), 1.0):
+            converged = True
+            break
 
-    if not converged and it > 0:
-        probe = project_weighted_l1_ball(x - g, w, tau)
-        lam = _projection_multiplier(x - g, probe, w)
+    r = sub.b_w - sub.matvec(x)
+    g = -sub.rmatvec(r)
+    y = x - g
+    lam = _projection_multiplier(y, project_weighted_l1_ball(y, w, tau), w)
     return x, lam, it, converged, r, g
 
 

@@ -272,6 +272,26 @@ class TestProperties:
         np.testing.assert_array_equal(project_weighted_l1_ball(y, w, tau), y)
 
     @settings(max_examples=200, deadline=None)
+    @given(projection_cases(),
+           hnp.arrays(np.float64, 12, elements=st.floats(-1e3, 1e3)),
+           st.floats(1e-3, 1e3),
+           st.floats(1.0, 1e3, exclude_min=True))
+    def test_projection_residual_monotone_in_step(self, case, g_full, t1, ratio):
+        # For x in the ball, ||P(x - t g) - x|| grows with t and shrinks
+        # divided by t (Calamai & More 1987): the bound the SPG stop test
+        # reads off its next direction rests on both.
+        y, w, tau = case
+        x = project_weighted_l1_ball(y, w, tau)
+        g = g_full[:x.size]
+        t2 = t1 * ratio
+        p1, p2 = (float(np.linalg.norm(project_weighted_l1_ball(x - t * g, w, tau) - x))
+                  for t in (t1, t2))
+        err1, err2 = (1e-12 * (float(np.linalg.norm(x)) + t * float(np.linalg.norm(g)))
+                      for t in (t1, t2))
+        assert p1 <= p2 + err1 + err2
+        assert p2 / t2 <= p1 / t1 + err1 / t1 + err2 / t2
+
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_soft_threshold_closed_form(self, data):
         n = data.draw(st.integers(1, 12))

@@ -36,12 +36,49 @@ class TestSpgLasso:
         np.testing.assert_array_equal(r, sub.b_w)
         np.testing.assert_array_equal(g, -sub.rmatvec(sub.b_w))
 
-    def test_returns_final_residual_and_gradient(self):
-        sub = random_sub(5, 12, seed=2)
-        x, _, iters, _, r, g = spg_lasso(sub, 0.3 * sub.ref_objective, None)
-        assert iters > 0
-        np.testing.assert_array_equal(r, sub.b_w - sub.matvec(x))
-        np.testing.assert_array_equal(g, -sub.rmatvec(r))
+    def test_returns_final_residual_and_gradient(self, desk_instance):
+        # The desk solve runs for hundreds of iterations on a residual
+        # carried by r <- r - s A_k d; none of its drift may reach r and g.
+        inst, _ = desk_instance
+        for sub, least_iters in ((random_sub(5, 12, seed=2), 1),
+                                 (build_subproblem(inst, inst.least_norm, 0), 200)):
+            x, _, iters, _, r, g = spg_lasso(sub, 0.3 * sub.ref_objective, None)
+            assert iters >= least_iters
+            np.testing.assert_array_equal(r, sub.b_w - sub.matvec(x))
+            np.testing.assert_array_equal(g, -sub.rmatvec(r))
+
+    def test_one_product_each_way_per_iteration(self, monkeypatch, desk_instance):
+        # One matvec and one rmatvec at the start, per iteration and at exit;
+        # one projection per iteration, one for the first direction and the
+        # unit-step probe at exit.  Backtracking spends none of them.
+        products = {"matvec": [], "rmatvec": []}
+        for name in products:
+            def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
+                out = _orig(self, z)
+                products[_name].append((z.copy(), out))
+                return out
+            monkeypatch.setattr(SubproblemData, name, counted)
+        projections = []
+
+        def project(*args, _orig=project_weighted_l1_ball):
+            projections.append(1)
+            return _orig(*args)
+
+        monkeypatch.setattr(spg_module, "project_weighted_l1_ball", project)
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        x, _, iters, conv, r, g = spg_lasso(sub, 0.3 * sub.ref_objective, None)
+        assert conv
+        assert len(products["matvec"]) == iters + 2
+        assert len(products["rmatvec"]) == iters + 2
+        assert len(projections) <= iters + 2
+        # The residuals handed to rmatvec show the Armijo test backtracking:
+        # some accepted move is shorter than the full step r - A_k d.
+        residuals = [z for z, _ in products["rmatvec"]]
+        moves = [out for _, out in products["matvec"][1:-1]]
+        full = [np.allclose(r1, r0 - Ad, rtol=1e-12, atol=1e-12)
+                for r0, r1, Ad in zip(residuals, residuals[1:], moves)]
+        assert len(full) == iters and not all(full)
 
     def test_negative_tau_rejected(self):
         sub = random_sub(4, 10, seed=0)
