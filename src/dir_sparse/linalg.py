@@ -5,8 +5,10 @@ factorization A.T = Q R of a wide matrix, taken once per instance by the
 caller; Q is never formed.  The rank test reads the diagonal of R, the
 least-norm point comes from the corrected semi-normal equations
 A A.T y = b with A A.T = R.T R, and the spectral bound on A A.T is
-||R||_2^2.  The prox/projection operators are exact closed forms or exact
-breakpoint searches.
+||R||_2^2.  Systems with R or R.T are solved by blocked substitution
+(:func:`solve_upper`), O(m^2) where an LU of R would be O(m^3).  The
+prox/projection operators are exact closed forms or exact breakpoint
+searches.
 """
 
 import numpy as np
@@ -14,12 +16,36 @@ import numpy as np
 
 # Smallest acceptable ratio of extreme |diag(R)| in the QR rank test.
 _RANK_RTOL = 1e-10
+# Rows per diagonal block of solve_upper.
+_SOLVE_BLOCK = 64
 
 
 def rank_ratio(R: np.ndarray) -> float:
     """Ratio min/max of |diag(R)| for a triangular factor; 0 when R = 0."""
     rdiag = np.abs(np.diag(R))
     return float(rdiag.min() / rdiag.max()) if rdiag.max() > 0 else 0.0
+
+
+def solve_upper(R: np.ndarray, B: np.ndarray, trans: bool = False) -> np.ndarray:
+    """Solve R X = B, or R.T X = B when ``trans``, for upper-triangular R.
+
+    Blocked substitution: each block of ``_SOLVE_BLOCK`` rows is solved
+    with ``np.linalg.solve`` on its diagonal block of R and then
+    eliminated from the rows still to come, which are those above it for
+    R and below it for R.T.  B may be a vector or a matrix.
+    """
+    X = np.array(B, dtype=float)
+    n = R.shape[0]
+    starts = range(0, n, _SOLVE_BLOCK)
+    for i in (starts if trans else reversed(starts)):
+        j = min(i + _SOLVE_BLOCK, n)
+        if trans:
+            X[i:j] = np.linalg.solve(R[i:j, i:j].T, X[i:j])
+            X[j:] -= R[i:j, j:].T @ X[i:j]
+        else:
+            X[i:j] = np.linalg.solve(R[i:j, i:j], X[i:j])
+            X[:i] -= R[:i, i:j] @ X[i:j]
+    return X
 
 
 def least_norm_solution(A: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -35,7 +61,7 @@ def least_norm_solution(A: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarr
             "matrix is numerically rank deficient; least-norm solve is singular")
 
     def seminormal(c):
-        return A.T @ np.linalg.solve(R, np.linalg.solve(R.T, c))
+        return A.T @ solve_upper(R, solve_upper(R, c, trans=True))
 
     x = seminormal(b)
     return x + seminormal(b - A @ x)

@@ -7,10 +7,14 @@ tau-constrained weighted LASSO.  Each phi evaluation is a projected
 gradient solve with Barzilai-Borwein steps and a nonmonotone line search
 along the fixed projected direction d = P(x - alpha g) - x, so that an
 iteration spends one projection, one product A_k d and one product
-A_k^T r.  It stops on the bound ||d|| max(1, 1/alpha) on the unit-step
-fixed-point residual and recomputes its residual and gradient exactly at
-exit.  The root is tracked by safeguarded Newton steps using the
-dual-norm slope phi'(tau) = -||A_k^T r / w||_inf / ||r||.
+A_k^T r.  Once the signs of x have settled, an iteration's direction
+instead points to the least-squares minimizer on the face of the l1 ball
+those signs select, found from one QR of the face's columns of A_k (a
+subspace step as in FPC_AS); it spends no further product.  It stops on
+the bound ||d|| max(1, 1/alpha) on the unit-step fixed-point residual
+and recomputes its residual and gradient exactly at exit.  The root is
+tracked by safeguarded Newton steps using the dual-norm slope
+phi'(tau) = -||A_k^T r / w||_inf / ||r||.
 
 Two modes: "certified" keeps tightening the LASSO tolerance until the
 subproblem certificate passes its inexactness bounds (honestly reporting
@@ -18,6 +22,7 @@ failure when escalation is exhausted); "blackbox" runs to the default
 tolerance and records, but never enforces, the certificate bounds.
 """
 
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -27,7 +32,7 @@ from .core import InexactCertificate, SubproblemData, register_engine
 # The benchmark's tracer wraps dir_sparse.spg.retract by that name, so it
 # stays importable here although the certificate retracts in core.
 from .core import retract  # noqa: F401
-from .linalg import project_weighted_l1_ball
+from .linalg import project_weighted_l1_ball, solve_upper
 
 _TINY = np.finfo(float).tiny
 # Barzilai-Borwein step bounds, Armijo constant, nonmonotone memory and
@@ -37,6 +42,9 @@ _ALPHA_MAX = 1e10
 _ARMIJO_CONST = 1e-4
 _NONMONOTONE_MEMORY = 10
 _MAX_SPG_PER_LASSO = 20_000
+# Iterations sign(x) must stay unchanged before spg_lasso tries a face step;
+# doubled after each rejected face minimizer.
+_FACE_WAIT = 20
 # LASSO tolerance in blackbox mode, and the starting one in certified mode.
 _LASSO_TOL = 1e-6
 _LASSO_TOL_CERTIFIED = 1e-9
@@ -62,8 +70,39 @@ def _projection_multiplier(y, x_proj, w):
     return max((abs(y[i]) - abs(x_proj[i])) / w[i], 0.0)
 
 
+def _face_minimizer(sub: SubproblemData, support, signs, tau: float):
+    """Minimizer z of 0.5 ||A_k z - b_w||^2 on the face of the l1 ball.
+
+    The face is {supp(z) in support, sign(z) = signs, c . z = tau} with
+    c = w[support] o signs.  One QR of [A_k[:, support], b_w], m x (|S| + 1),
+    gives R and Q^T b_w; then z = z_ls - mu h with z_ls = R^-1 Q^T b_w,
+    h = R^-1 R^-T c and mu = (c . z_ls - tau) / (c . h).  Returns z on the
+    support, or None when |S| >= m, mu < 0 (the ball is not binding on the
+    face) or some sign of z differs from ``signs``.  z is scaled down by
+    tau / (c . z) when rounding puts it outside the ball.
+    """
+    m = sub.b_w.shape[0]
+    k = support.size
+    if k == 0 or k >= m:
+        return None
+    M = np.empty((m, k + 1), order="F")
+    np.multiply(sub.instance.A[:, support], sub.v[:, None], out=M[:, :k])
+    M[:, k] = sub.b_w
+    R = np.linalg.qr(M, mode="r")
+    R, qtb = R[:k, :k], R[:k, k]
+    c = sub.w[support] * signs
+    z_ls = solve_upper(R, qtb)
+    h = solve_upper(R, solve_upper(R, c, trans=True))
+    mu = (float(c @ z_ls) - tau) / float(c @ h)
+    z = z_ls - mu * h
+    if not (mu >= 0.0 and np.array_equal(np.sign(z), signs)):
+        return None
+    cz = float(c @ z)
+    return z * (tau / cz) if cz > tau else z
+
+
 def spg_lasso(sub: SubproblemData, tau: float, warm=None,
-              tol: float | None = None):
+              tol: float | None = None, stats: dict | None = None):
     """Approximately minimize 0.5 ||A_k x - b_w||^2 over ||w o x||_1 <= tau.
 
     Projected gradient iterations with BB step sizes alpha clamped to
@@ -75,6 +114,21 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
     of the last ``_NONMONOTONE_MEMORY`` objective values holds, with the
     residual r - s A_k d, so backtracking spends no product and no
     projection.
+
+    Face steps (subspace minimization on the identified face, as in FPC_AS,
+    Wen, Yin, Goldfarb & Zhang 2010): once sign(x) has stayed the same for
+    ``_FACE_WAIT`` iterations, that iteration's direction is d = z - x,
+    where z minimizes the objective on the face of the ball that x's signs
+    select (:func:`_face_minimizer`).  z is accepted only if the ball
+    binds on the face and z keeps every sign of x; otherwise the wait
+    doubles.  Because z is that minimizer, f(z) - f(x) <= (g . d) / 2, so
+    the unit step passes the Armijo test in exact arithmetic; the search,
+    products and stop test run as for a projected direction.  A face step
+    costs one QR of the m x (|S| + 1) matrix [A_k[:, S], b_w] and three
+    triangular solves, none of them a product with A_k; it is skipped when
+    |S| >= m.  When ``stats`` is a dict, its ``"face_steps"`` and
+    ``"face_s"`` entries are incremented by the face directions taken and
+    the seconds spent in face solves.
 
     Stops when the relative step or the relative duality gap reaches
     ``tol`` (default ``_LASSO_TOL``) and the next direction d gives
@@ -110,6 +164,8 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
     recent = deque([0.5 * float(r @ r)], maxlen=_NONMONOTONE_MEMORY)
     converged = False
     it = 0
+    face_wait = _FACE_WAIT
+    steady = 0              # iterations since sign(x) last changed
 
     f_noise = 10.0 * np.finfo(float).eps
     for it in range(1, _MAX_SPG_PER_LASSO + 1):
@@ -117,6 +173,19 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
         # Allowance for float cancellation in f; without it the test can
         # never pass near a fixed point and backtracking kills the step.
         slack = f_noise * max(1.0, f_ref)
+        if steady >= face_wait:
+            steady = 0
+            tic = time.perf_counter()
+            support = np.flatnonzero(x)
+            z = _face_minimizer(sub, support, np.sign(x[support]), tau)
+            if z is None:
+                face_wait *= 2
+            else:
+                d = np.zeros(n)
+                d[support] = z - x[support]
+            if stats is not None:
+                stats["face_steps"] += z is not None
+                stats["face_s"] += time.perf_counter() - tic
         Ad = sub.matvec(d)
         gd = float(g @ d)
         for k in range(60):
@@ -127,6 +196,7 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
                 break
         x_new = x + s * d
         g_new = -sub.rmatvec(r_new)
+        steady = steady + 1 if np.array_equal(np.sign(x_new), np.sign(x)) else 0
 
         dx = s * d
         dual_norm = float(np.abs(g_new / w).max())
@@ -216,7 +286,9 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     to ``_MAX_ESCALATIONS`` times, after which the failing certificate is
     returned.  In blackbox mode the bounds are recorded but never enforced.
     ``info["lasso_unconverged"]`` counts the LASSO solves that stopped at
-    ``_MAX_SPG_PER_LASSO`` iterations.
+    ``_MAX_SPG_PER_LASSO`` iterations, ``info["face_steps"]`` the face
+    directions their iterations took and ``info["face_s"]`` the seconds
+    spent in face solves (see :func:`spg_lasso`).
     """
     if mode not in ("certified", "blackbox"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -250,6 +322,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     escalations = 0
     newton_steps = 0
     lasso_unconverged = 0
+    face = {"face_steps": 0, "face_s": 0.0}
     cert = None
 
     for _ in range(_MAX_NEWTON):
@@ -275,7 +348,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
 
         x0 = x if tau > 0.0 else (warm_x if warm_x is not None else x)
         x, lasso_multiplier, iters, converged, r, g = spg_lasso(
-            sub, tau_next, x0, tol=lasso_tol)
+            sub, tau_next, x0, tol=lasso_tol, stats=face)
         total_inner += iters
         lasso_unconverged += not converged
         newton_steps += 1
@@ -289,7 +362,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     state = SpgState(tau=tau, x_lasso=x, history=history)
     info = {"iterations": total_inner, "newton_steps": newton_steps,
             "escalations": escalations, "root_gap": abs(phi - sigma_bar),
-            "lasso_unconverged": lasso_unconverged}
+            "lasso_unconverged": lasso_unconverged, **face}
     return cert, state, info
 
 

@@ -1,5 +1,14 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread unless the caller chose otherwise.  Set before numpy is
+# first imported, so OpenBLAS reads it; the criterion-5 worker processes
+# inherit it.  The suite's products are small, and on two cores the
+# default BLAS threads made the suite about twice as slow.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from dir_sparse import InstanceSpec, LossKind, LossSpec, PenaltySpec, generate_instance
 from dir_sparse.core import ProblemInstance

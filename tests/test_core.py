@@ -484,7 +484,7 @@ class TestRunDir:
     @pytest.mark.parametrize("engine, keys", [
         ("admm", {"best_kkt", "best_kkt_iter", "exact_checks"}),
         ("spg", {"newton_steps", "escalations", "root_gap",
-                 "lasso_unconverged"}),
+                 "lasso_unconverged", "face_steps", "face_s"}),
     ])
     def test_history_carries_engine_info(self, desk_instance, engine, keys):
         inst, _ = desk_instance

@@ -5,6 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from dir_sparse import (lambda_max_gram, least_norm_solution, project_l2_ball,
                         project_weighted_l1_ball, soft_threshold)
+from dir_sparse.linalg import solve_upper
 
 
 def oracle_weighted_l1_projection(y, w, tau, tol=1e-14):
@@ -97,6 +98,35 @@ class TestLeastNorm:
 
         assert rel_residual(x) <= 2.0 * rel_residual(x_qr)
         assert np.linalg.norm(x - Q @ (Q.T @ x)) <= 1e-8 * np.linalg.norm(x)
+
+
+class TestSolveUpper:
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("kind", ["random", "graded"])
+    def test_matches_dense_solve(self, kind, trans):
+        # n = 150 spans two full blocks and a partial one.
+        rng = np.random.default_rng(3)
+        n = 150
+        if kind == "random":
+            R = np.linalg.qr(rng.standard_normal((2 * n, n)), mode="r")
+            agree = 1e-13
+        else:
+            U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            R = np.linalg.qr(U @ (np.logspace(0, -8, n)[:, None] * V.T), mode="r")
+            assert 5e7 <= np.linalg.cond(R) <= 5e8
+            agree = 1e-8       # cond(R) eps
+        M = R.T if trans else R
+        for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            X = solve_upper(R, B, trans=trans)
+            Y = np.linalg.solve(M, B)
+            assert X.shape == B.shape
+
+            def rel_residual(Z):
+                return np.linalg.norm(M @ Z - B) / (np.linalg.norm(M) * np.linalg.norm(Z))
+
+            assert rel_residual(X) <= 2.0 * rel_residual(Y) + 1e-16
+            assert np.linalg.norm(X - Y) <= agree * np.linalg.norm(Y)
 
 
 class TestLambdaMax:

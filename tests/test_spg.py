@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dir_sparse import (DirConfig, LossKind, LossSpec, PenaltySpec,
-                        build_subproblem, pareto_newton,
+                        build_subproblem, lambda_max_gram, pareto_newton,
                         project_weighted_l1_ball, retract, run_dir, spg_lasso)
 from dir_sparse import spg as spg_module
 from dir_sparse.core import ProblemInstance, SubproblemData
@@ -119,6 +122,90 @@ class TestSpgLasso:
         tau = 0.5
         x, _, _, _, _, _ = spg_lasso(sub, tau, None)
         assert float(np.abs(sub.w * x).sum()) <= tau * (1 + 1e-12)
+
+
+def face_kkt(sub, support, signs, tau):
+    """Equality-constrained least squares on the face from its KKT system."""
+    B = sub.v[:, None] * sub.instance.A[:, support]
+    c = sub.w[support] * signs
+    k = support.size
+    K = np.zeros((k + 1, k + 1))
+    K[:k, :k] = B.T @ B
+    K[:k, k] = K[k, :k] = c
+    sol = np.linalg.solve(K, np.append(B.T @ sub.b_w, tau))
+    return sol[:k], sol[k]
+
+
+def random_face(seed, m=12, n=30, k=6):
+    """A random support, the signs of its least-squares point and c . z_ls."""
+    sub = random_sub(m, n, seed=seed)
+    support = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
+    B = sub.v[:, None] * sub.instance.A[:, support]
+    z_ls = np.linalg.lstsq(B, sub.b_w, rcond=None)[0]
+    signs = np.sign(z_ls)
+    return sub, support, signs, float(sub.w[support] * signs @ z_ls)
+
+
+class TestFaceMinimizer:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_kkt_solution(self, seed):
+        sub, support, signs, c_zls = random_face(seed)
+        tau = 0.999 * c_zls
+        z_kkt, mu = face_kkt(sub, support, signs, tau)
+        assert mu > 0 and np.array_equal(np.sign(z_kkt), signs)
+        z = spg_module._face_minimizer(sub, support, signs, tau)
+        np.testing.assert_allclose(z, z_kkt, rtol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_none_when_a_sign_flips(self, seed):
+        sub, support, signs, c_zls = random_face(seed)
+        tau = 0.02 * c_zls
+        z_kkt, mu = face_kkt(sub, support, signs, tau)
+        assert mu > 0 and not np.array_equal(np.sign(z_kkt), signs)
+        assert spg_module._face_minimizer(sub, support, signs, tau) is None
+
+    def test_none_when_ball_does_not_bind(self):
+        sub, support, signs, c_zls = random_face(0)
+        assert spg_module._face_minimizer(sub, support, signs, 1.1 * c_zls) is None
+
+    @pytest.mark.parametrize("k", [12, 13])
+    def test_none_when_support_fills_rows(self, k):
+        sub = random_sub(12, 30, seed=0)
+        support = np.arange(k)
+        assert spg_module._face_minimizer(sub, support, np.ones(k), 1.0) is None
+
+    def test_desk_solve_takes_face_steps(self, desk_instance):
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        stats = {"face_steps": 0, "face_s": 0.0}
+        _, _, iters, conv, _, _ = spg_lasso(sub, 0.3 * sub.ref_objective, None,
+                                            stats=stats)
+        assert conv and iters >= 200
+        assert stats["face_steps"] > 0 and stats["face_s"] > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.floats(1e-3, 1.2),
+           st.booleans())
+    def test_iterates_stay_in_ball(self, seed, m, fraction, warm):
+        # Random row scalings v and weights w; with one iteration of wait,
+        # face steps are tried all along.
+        rng = np.random.default_rng(seed)
+        n = 3 * m
+        A = rng.standard_normal((m, n))
+        v = rng.uniform(0.2, 2.0, m)
+        w = rng.uniform(0.2, 2.0, n)
+        b_w = rng.standard_normal(m)
+        x_ls = np.linalg.lstsq(v[:, None] * A, b_w, rcond=None)[0]
+        inst = ProblemInstance(A=A, b=b_w / v, sigma=1.0,
+                               loss=LossSpec(LossKind.CAUCHY, 1.0),
+                               penalty=PenaltySpec(0.1), least_norm=x_ls,
+                               gram_lmax=lambda_max_gram(A))
+        sub = SubproblemData(instance=inst, x_k=x_ls, w=w, v=v, b_w=b_w,
+                             sigma_k=1.0, eps_k=1e-6, mu_k=0.5, tau_k=1e-6)
+        tau = fraction * float(np.abs(w * x_ls).sum())
+        with mock.patch.object(spg_module, "_FACE_WAIT", 1):
+            x, _, _, _, _, _ = spg_lasso(sub, tau, x_ls if warm else None)
+        assert float(np.abs(w * x).sum()) <= tau * (1 + 1e-12)
 
 
 class TestParetoNewton:
