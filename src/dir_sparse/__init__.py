@@ -8,8 +8,8 @@ retraction that keeps every outer iterate admissible.
 
 from .core import (DirConfig, InexactCertificate, ProblemInstance, RunResult,
                    RunStatus, StationarityReport, SubproblemData,
-                   available_engines, build_subproblem, register_engine,
-                   retract, run_dir, stationarity_report)
+                   build_subproblem, register_engine, retract, run_dir,
+                   stationarity_report)
 from .losses import (AssumptionReport, LossKind, LossSpec, PenaltySpec,
                      constraint_grad, constraint_value, validate_assumptions)
 from .linalg import (least_norm_solution, lambda_max_gram, project_l2_ball,
@@ -26,8 +26,7 @@ __all__ = [
     "InstanceSpec", "LossKind", "LossSpec", "Metrics", "PenaltySpec",
     "ProblemInstance", "RunResult", "RunStatus", "SpgState",
     "StationarityReport", "SubproblemData", "TrialRecord", "admm_solve",
-    "admm_step", "available_engines",
-    "build_subproblem", "compute_metrics", "constraint_grad",
+    "admm_step", "build_subproblem", "compute_metrics", "constraint_grad",
     "constraint_value", "generate_instance", "lambda_max_gram",
     "least_norm_solution", "pareto_newton", "project_l2_ball",
     "project_weighted_l1_ball", "register_engine", "retract", "run_batch",

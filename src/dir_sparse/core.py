@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import least_norm_solution, lambda_max_gram
+from .linalg import l1_kkt_distance, least_norm_solution, lambda_max_gram
 from .losses import LossSpec, PenaltySpec, constraint_value, constraint_grad, \
     validate_assumptions
 
@@ -257,10 +257,6 @@ def get_engine(name: str):
             f"unknown engine {name!r}; available: {sorted(_ENGINES)}") from None
 
 
-def available_engines():
-    return sorted(_ENGINES)
-
-
 def build_subproblem(instance: ProblemInstance, x_k: np.ndarray,
                      k: int) -> SubproblemData:
     """Assemble the weighted BPDN subproblem at the feasible point x_k.
@@ -324,41 +320,36 @@ def stationarity_report(instance: ProblemInstance, x: np.ndarray,
                         lam: float) -> StationarityReport:
     """Measure the first-order conditions at (x, lam) with lam >= 0.
 
-    The dual residual is the Euclidean norm of the componentwise distance
-    from g = -lam * grad(constraint) to the set psi'_+(|x_i|) * d|x_i|,
-    which is the singleton {psi'_+(|x_i|) sign(x_i)} off zero and the
-    interval [-psi'_+(0), psi'_+(0)] at zero.
+    The dual residual is the distance from 0 to
+    psi'_+(|x|) o d|x| + lam * grad(constraint) (:func:`l1_kkt_distance`).
     """
     if lam < 0:
         raise ValueError("multiplier must be nonnegative")
     x = np.asarray(x, dtype=float)
     primal = instance.constraint(x) - instance.sigma
-    g = -lam * instance.constraint_gradient(x)
+    q = lam * instance.constraint_gradient(x)
     wvals = instance.penalty.dplus(np.abs(x))
-    dist = np.where(x != 0.0,
-                    np.abs(g - wvals * np.sign(x)),
-                    np.maximum(np.abs(g) - wvals, 0.0))
     return StationarityReport(lam=float(lam),
                               primal_feasibility=float(primal),
                               complementarity=float(lam * primal),
-                              dual_residual=float(np.linalg.norm(dist)))
+                              dual_residual=l1_kkt_distance(x, wvals, q))
 
 
-def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
-            x0: Optional[np.ndarray] = None) -> RunResult:
+def run_dir(instance: ProblemInstance,
+            config: Optional[DirConfig] = None) -> RunResult:
     """Run the doubly reweighted outer loop until the step stalls.
 
-    Starts from the least-norm interpolant unless a feasible ``x0`` is
-    given.  Every iteration builds the reweighted subproblem, hands it to
-    the configured engine (warm started from the previous inner state) and
-    moves to the certificate's retracted point ``x_next``; no product with
-    A_k is spent here.  Stops when the relative step
-    ||x_{k+1} - x_k|| / max(||x_k||, 1) drops to ``outer_tol``, when
-    ``max_outer`` is hit, or with ``subproblem-failure`` when a certified
-    engine's certificate fails the ``eps_k`` criteria (that answer is kept
-    as the last iteration).  An answer whose retracted point violates the
-    original constraint by more than ``FEASIBILITY_SLACK`` stops the run
-    with ``certificate-violation``; that answer is discarded and the result
+    Starts from the least-norm interpolant.  Every iteration builds the
+    reweighted subproblem, hands it to the configured engine (warm started
+    from the previous inner state) and moves to the certificate's
+    retracted point ``x_next``; no product with A_k is spent here.  Stops
+    when the relative step ||x_{k+1} - x_k|| / max(||x_k||, 1) drops to
+    ``outer_tol``, when ``max_outer`` is hit, or with
+    ``subproblem-failure`` when a certified engine's certificate fails the
+    ``eps_k`` criteria (that answer is kept as the last iteration).  An
+    answer whose retracted point violates the original constraint by more
+    than ``FEASIBILITY_SLACK`` stops the run with
+    ``certificate-violation``; that answer is discarded and the result
     holds the iterations before it.  An ``Exception`` raised by the engine
     stops the run with ``engine-error`` in the same way, and
     ``RunResult.error`` names it.
@@ -366,13 +357,7 @@ def run_dir(instance: ProblemInstance, config: Optional[DirConfig] = None,
     config = config or DirConfig()
     solve, certified = get_engine(config.engine)
 
-    if x0 is None:
-        x = instance.least_norm.copy()
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        if not instance.is_feasible(x):
-            raise ValueError("x0 violates the constraint")
-
+    x = instance.least_norm.copy()
     history = []
     status = RunStatus.MAX_ITERATIONS
     warm = None

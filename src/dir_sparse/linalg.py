@@ -84,6 +84,17 @@ def soft_threshold(v: np.ndarray, t) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+def l1_kkt_distance(x: np.ndarray, w: np.ndarray, q: np.ndarray) -> float:
+    """Distance from 0 to the set w o d|x| + q, for weights w >= 0.
+
+    Componentwise it is |w_i sign(x_i) + q_i| off zero and
+    max(|q_i| - w_i, 0) at zero, where d|x_i| is the interval [-1, 1].
+    """
+    dist = np.where(x != 0.0, np.abs(w * np.sign(x) + q),
+                    np.maximum(np.abs(q) - w, 0.0))
+    return float(np.linalg.norm(dist))
+
+
 def project_l2_ball(y: np.ndarray, r: float) -> np.ndarray:
     """Euclidean projection onto the ball of radius r > 0."""
     if not r > 0:

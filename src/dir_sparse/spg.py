@@ -12,9 +12,10 @@ instead points to the least-squares minimizer on the face of the l1 ball
 those signs select, found from one QR of the face's columns of A_k (a
 subspace step as in FPC_AS); it spends no further product.  It stops on
 the bound ||d|| max(1, 1/alpha) on the unit-step fixed-point residual
-and recomputes its residual and gradient exactly at exit.  The root is
-tracked by safeguarded Newton steps using the dual-norm slope
-phi'(tau) = -||A_k^T r / w||_inf / ||r||.
+and returns the exact point (x, r = b_w - A_k x, g = -A_k^T r), which
+starts the next solve and certifies the answer at no further product.
+The root is tracked by safeguarded Newton steps using the dual-norm
+slope phi'(tau) = -||g / w||_inf / ||r||.
 
 Two modes: "certified" keeps tightening the LASSO tolerance until the
 subproblem certificate passes its inexactness bounds (honestly reporting
@@ -32,7 +33,7 @@ from .core import InexactCertificate, SubproblemData, register_engine
 # The benchmark's tracer wraps dir_sparse.spg.retract by that name, so it
 # stays importable here although the certificate retracts in core.
 from .core import retract  # noqa: F401
-from .linalg import project_weighted_l1_ball, solve_upper
+from .linalg import l1_kkt_distance, project_weighted_l1_ball, solve_upper
 
 _TINY = np.finfo(float).tiny
 # Barzilai-Borwein step bounds, Armijo constant, nonmonotone memory and
@@ -101,9 +102,21 @@ def _face_minimizer(sub: SubproblemData, support, signs, tau: float):
     return z * (tau / cz) if cz > tau else z
 
 
-def spg_lasso(sub: SubproblemData, tau: float, warm=None,
+def _exact_point(sub: SubproblemData, x):
+    """Exact (x, r, g): r = b_w - A_k x, free at x = 0, and g = -A_k^T r."""
+    r = sub.b_w - sub.matvec(x) if x.any() else sub.b_w.copy()
+    return x, r, -sub.rmatvec(r)
+
+
+def spg_lasso(sub: SubproblemData, tau: float, start=None,
               tol: float | None = None, stats: dict | None = None):
     """Approximately minimize 0.5 ||A_k x - b_w||^2 over ||w o x||_1 <= tau.
+
+    ``start`` is an exact point ``(x, r, g)`` as returned here, or
+    ``(x, None, None)``, or ``None`` for the origin (one ``rmatvec``).  A
+    start that the projection onto the ball returns unchanged keeps its r
+    and g and spends no product; any other is projected, and its r and g
+    cost one product each way.  At tau = 0 that point is returned.
 
     Projected gradient iterations with BB step sizes alpha clamped to
     [_ALPHA_MIN, _ALPHA_MAX].  Each iteration projects once, for the
@@ -136,29 +149,29 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
     grows with t and shrinks divided by t (Calamai & More 1987), that value
     bounds the unit-step fixed-point residual ||P(x - g) - x||.
 
-    Returns ``(x, lasso_multiplier, iterations, converged, r, g)``.  The
-    residual carried through the iterations drifts by rounding, so the
-    final residual r = b_w - A_k x and gradient g = -A_k^T r are recomputed
-    exactly at exit.  The multiplier is the shrinkage multiplier of a
-    unit-step gradient projection at the final iterate; at a fixed point
-    the projection multiplier scales linearly with the step, so the
-    unit-step probe is the exact KKT scalar there (and is insensitive to
-    the incidental step size of the last move, whose projection may have
-    been inactive).
+    Returns ``(x, lasso_multiplier, iterations, converged, r, g)``, with r
+    and g recomputed exactly at exit, since the residual carried through
+    the iterations drifts by rounding.  The multiplier is the shrinkage
+    multiplier of a unit-step gradient projection at the final iterate; at
+    a fixed point the projection multiplier scales linearly with the step,
+    so the unit-step probe is the exact KKT scalar there, whatever the
+    step size of the last move (whose projection may have been inactive).
     """
     tol = _LASSO_TOL if tol is None else tol
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     w = sub.w
     n = w.shape[0]
+    if start is None:
+        x, r, g = _exact_point(sub, np.zeros(n))
+    else:
+        x, r, g = start
+        x_in = project_weighted_l1_ball(np.asarray(x, dtype=float), w, tau)
+        if r is None or not np.array_equal(x_in, x):
+            x, r, g = _exact_point(sub, x_in)
     if tau == 0.0:
-        r = sub.b_w.copy()
-        return np.zeros(n), 0.0, 0, True, r, -sub.rmatvec(r)
+        return x, 0.0, 0, True, r, g
 
-    x = np.zeros(n) if warm is None else project_weighted_l1_ball(
-        np.asarray(warm, dtype=float), w, tau)
-    r = sub.b_w - sub.matvec(x)
-    g = -sub.rmatvec(r)
     alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, 1.0 / max(np.abs(g).max(), _TINY)))
     d = project_weighted_l1_ball(x - alpha * g, w, tau) - x
     recent = deque([0.5 * float(r @ r)], maxlen=_NONMONOTONE_MEMORY)
@@ -228,42 +241,31 @@ def spg_lasso(sub: SubproblemData, tau: float, warm=None,
             converged = True
             break
 
-    r = sub.b_w - sub.matvec(x)
-    g = -sub.rmatvec(r)
+    x, r, g = _exact_point(sub, x)
     y = x - g
     lam = _projection_multiplier(y, project_weighted_l1_ball(y, w, tau), w)
     return x, lam, it, converged, r, g
 
 
-def _certificate(sub: SubproblemData, x, r, lasso_multiplier):
-    """Assemble the inexact certificate at the LASSO iterate x.
+def _certificate(sub: SubproblemData, x, r, g, lasso_multiplier):
+    """Assemble the inexact certificate at the exact LASSO point (x, r, g).
 
-    ``r`` is its residual b_w - A_k x, so only ``rmatvec`` is spent here.
-
-    The ball variable is the projection of A_k x - b_w onto the sphere of
+    The ball variable u is the projection of A_k x - b_w onto the sphere of
     radius sigma_bar, so the coupling residual is exactly
-    | ||A_k x - b_w|| - sigma_bar |.  The subproblem multiplier rescales
-    the reciprocal LASSO multiplier by rho / sigma_bar, which makes the
-    KKT inclusion algebraically exact at an exact LASSO optimum.
+    | ||A_k x - b_w|| - sigma_bar | and A_k^T u = (sigma_bar / rho) g costs
+    no product.  The subproblem multiplier rescales the reciprocal LASSO
+    multiplier by rho / sigma_bar, which makes the KKT inclusion
+    algebraically exact at an exact LASSO optimum.
     """
     res = -r
     rho = float(np.linalg.norm(res))
     sigma_bar = sub.sigma_bar
-    if rho > 0.0:
-        u = (sigma_bar / rho) * res
-    else:
-        u = np.zeros_like(res)
-    if lasso_multiplier > 0.0:
-        mult = rho / (sigma_bar * lasso_multiplier)
-    else:
-        mult = 0.0
-    q = mult * sub.rmatvec(u)
-    dist = np.where(x != 0.0,
-                    np.abs(sub.w * np.sign(x) + q),
-                    np.maximum(np.abs(q) - sub.w, 0.0))
+    scale = sigma_bar / rho if rho > 0.0 else 0.0
+    mult = (rho / (sigma_bar * lasso_multiplier) if lasso_multiplier > 0.0
+            else 0.0)
     return InexactCertificate(
-        sub, x, res, u_tilde=u, multiplier=mult,
-        kkt_residual=float(np.linalg.norm(dist)),
+        sub, x, res, u_tilde=scale * res, multiplier=mult,
+        kkt_residual=l1_kkt_distance(x, sub.w, (mult * scale) * g),
         coupling_residual=abs(rho - sigma_bar))
 
 
@@ -271,20 +273,20 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
                   mode: str = "certified"):
     """Find the subproblem solution by Newton steps on the Pareto curve.
 
-    Starts at tau = 0 (whose LASSO solution is exactly 0) and iterates
-    tau <- tau + (sigma_bar - phi) / phi' with the dual-norm slope,
-    safeguarded by bisection once the root is bracketed.  The LASSO solves
-    are warm started from the previous iterate (and, across outer
-    iterations, from the warm state's solution).
-
-    phi(tau) and the slope -||g / w||_inf / phi are read from the residual
-    r and the gradient g that each LASSO solve returns, so a Newton step
-    spends no product with A_k beyond its LASSO solve.
+    Starts at tau = 0 from the exact point (0, b_w, -A_k^T b_w), whose
+    ``rmatvec`` is the one product spent outside the LASSO solves, and
+    iterates tau <- tau + (sigma_bar - phi) / phi' with the dual-norm
+    slope, safeguarded by bisection once the root is bracketed.  Each
+    LASSO solve starts from the exact point (x, r, g) the previous one
+    returned (at tau = 0, from the warm state's solution), and phi(tau),
+    the slope -||g / w||_inf / phi and the certificate are read from it,
+    so a Newton step spends no product beyond its LASSO solve.
 
     Returns ``(certificate, state, info)``.  In certified mode the
     certificate bounds are enforced by tightening the LASSO tolerance up
     to ``_MAX_ESCALATIONS`` times, after which the failing certificate is
     returned.  In blackbox mode the bounds are recorded but never enforced.
+    The certificate always belongs to the returned ``state.x_lasso``.
     ``info["lasso_unconverged"]`` counts the LASSO solves that stopped at
     ``_MAX_SPG_PER_LASSO`` iterations, ``info["face_steps"]`` the face
     directions their iterations took and ``info["face_s"]`` the seconds
@@ -306,14 +308,10 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     if certified:
         root_tol = max(min(root_tol, 0.5 * sub.eps_k), mach_slack)
 
-    n = sub.w.shape[0]
-    warm_x = warm.x_lasso if warm is not None else None
-
     tau = 0.0
-    x = np.zeros(n)
+    x, r, g = _exact_point(sub, np.zeros(sub.w.shape[0]))
     phi = b_norm
-    r = sub.b_w
-    slope = -float(np.abs(sub.rmatvec(r) / sub.w).max()) / max(phi, _TINY)
+    slope = -float(np.abs(g / sub.w).max()) / phi
     lasso_multiplier = 0.0
     history = [(tau, phi, slope)]
     tau_lo = 0.0            # phi(tau_lo) > sigma_bar
@@ -327,7 +325,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
 
     for _ in range(_MAX_NEWTON):
         if abs(phi - sigma_bar) <= root_tol:
-            cert = _certificate(sub, x, r, lasso_multiplier)
+            cert = _certificate(sub, x, r, g, lasso_multiplier)
             if (not certified or cert.criteria_met
                     or escalations >= _MAX_ESCALATIONS):
                 break
@@ -346,9 +344,10 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
                 tau_next = (0.5 * (tau_lo + tau_hi) if tau_hi is not None
                             else max(2.0 * tau, 1.0))
 
-        x0 = x if tau > 0.0 else (warm_x if warm_x is not None else x)
+        start = ((warm.x_lasso, None, None) if tau == 0.0 and warm is not None
+                 else (x, r, g))
         x, lasso_multiplier, iters, converged, r, g = spg_lasso(
-            sub, tau_next, x0, tol=lasso_tol, stats=face)
+            sub, tau_next, start, tol=lasso_tol, stats=face)
         total_inner += iters
         lasso_unconverged += not converged
         newton_steps += 1
@@ -356,8 +355,8 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
         slope = -float(np.abs(g / sub.w).max()) / phi if phi > 0.0 else 0.0
         tau = tau_next
         history.append((tau, phi, slope))
-    if cert is None:
-        cert = _certificate(sub, x, r, lasso_multiplier)
+    if cert is None or cert.x_tilde is not x:
+        cert = _certificate(sub, x, r, g, lasso_multiplier)
 
     state = SpgState(tau=tau, x_lasso=x, history=history)
     info = {"iterations": total_inner, "newton_steps": newton_steps,

@@ -388,12 +388,6 @@ class TestRunDir:
         with pytest.raises(ValueError, match="unknown engine"):
             run_dir(inst, DirConfig(engine="no-such-engine"))
 
-    def test_infeasible_x0_rejected(self):
-        inst = make_instance(5, 12, seed=14)
-        with pytest.raises(ValueError, match="x0"):
-            run_dir(inst, DirConfig(engine="admm"),
-                    x0=inst.least_norm + 100.0)
-
     def test_plugin_engine_and_warm_threading(self):
         engine = _EchoEngine()
         register_engine("echo-test", engine.solve, certified=False)

@@ -5,7 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from dir_sparse import (lambda_max_gram, least_norm_solution, project_l2_ball,
                         project_weighted_l1_ball, soft_threshold)
-from dir_sparse.linalg import solve_upper
+from dir_sparse.linalg import l1_kkt_distance, solve_upper
 
 
 def oracle_weighted_l1_projection(y, w, tau, tol=1e-14):
@@ -187,6 +187,36 @@ class TestSoftThreshold:
                 else:
                     lo = m1
             assert got == pytest.approx(0.5 * (lo + hi), abs=1e-7)
+
+
+class TestL1KktDistance:
+    def test_matches_both_former_formulas(self):
+        # The certificate measured |w sign(x) + q| with q = A_k^T u scaled,
+        # the stationarity report |g - w sign(x)| with g = -lam grad; both
+        # must come out bit for bit.
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            x = rng.standard_normal(n) * (rng.random(n) < 0.5)
+            w = rng.uniform(0.0, 2.0, n)
+            grad = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+            lam = float(rng.uniform(0.0, 3.0))
+            q = lam * grad
+            g = -lam * grad
+            spg_form = np.where(x != 0.0, np.abs(w * np.sign(x) + q),
+                                np.maximum(np.abs(q) - w, 0.0))
+            report_form = np.where(x != 0.0, np.abs(g - w * np.sign(x)),
+                                   np.maximum(np.abs(g) - w, 0.0))
+            got = l1_kkt_distance(x, w, q)
+            assert got == float(np.linalg.norm(spg_form))
+            assert got == float(np.linalg.norm(report_form))
+
+    def test_zero_inside_subdifferential(self):
+        x = np.array([0.0, 2.0, -1.0])
+        w = np.array([1.0, 0.5, 2.0])
+        assert l1_kkt_distance(x, w, np.array([0.7, -0.5, 2.0])) == 0.0
+        assert l1_kkt_distance(x, w, np.array([1.5, 0.0, 2.0])) \
+            == pytest.approx(np.hypot(0.5, 0.5), rel=1e-15)
 
 
 class TestL2Ball:

@@ -51,8 +51,9 @@ class TestSpgLasso:
             np.testing.assert_array_equal(g, -sub.rmatvec(r))
 
     def test_one_product_each_way_per_iteration(self, monkeypatch, desk_instance):
-        # One matvec and one rmatvec at the start, per iteration and at exit;
-        # one projection per iteration, one for the first direction and the
+        # From the origin, whose residual is b_w: one rmatvec at the start,
+        # one matvec and one rmatvec per iteration and at exit; one
+        # projection per iteration, one for the first direction and the
         # unit-step probe at exit.  Backtracking spends none of them.
         products = {"matvec": [], "rmatvec": []}
         for name in products:
@@ -72,16 +73,33 @@ class TestSpgLasso:
         sub = build_subproblem(inst, inst.least_norm, 0)
         x, _, iters, conv, r, g = spg_lasso(sub, 0.3 * sub.ref_objective, None)
         assert conv
-        assert len(products["matvec"]) == iters + 2
+        assert len(products["matvec"]) == iters + 1
         assert len(products["rmatvec"]) == iters + 2
         assert len(projections) <= iters + 2
         # The residuals handed to rmatvec show the Armijo test backtracking:
         # some accepted move is shorter than the full step r - A_k d.
         residuals = [z for z, _ in products["rmatvec"]]
-        moves = [out for _, out in products["matvec"][1:-1]]
+        moves = [out for _, out in products["matvec"][:-1]]
         full = [np.allclose(r1, r0 - Ad, rtol=1e-12, atol=1e-12)
                 for r0, r1, Ad in zip(residuals, residuals[1:], moves)]
         assert len(full) == iters and not all(full)
+
+    def test_start_inside_ball_spends_no_product(self, monkeypatch):
+        # The exact point of a solve at a smaller tau lies in the larger
+        # ball, so the next solve spends products only on its iterations
+        # and at exit.
+        sub = random_sub(6, 14, seed=3)
+        x, _, _, _, r, g = spg_lasso(sub, 0.2 * sub.ref_objective, None)
+        calls = []
+        for name in ("matvec", "rmatvec"):
+            def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
+                calls.append(_name)
+                return _orig(self, z)
+            monkeypatch.setattr(SubproblemData, name, counted)
+        _, _, iters, conv, _, _ = spg_lasso(sub, 0.3 * sub.ref_objective,
+                                            (x, r, g))
+        assert conv and iters > 0
+        assert calls.count("matvec") == calls.count("rmatvec") == iters + 1
 
     def test_negative_tau_rejected(self):
         sub = random_sub(4, 10, seed=0)
@@ -204,7 +222,8 @@ class TestFaceMinimizer:
                              sigma_k=1.0, eps_k=1e-6, mu_k=0.5, tau_k=1e-6)
         tau = fraction * float(np.abs(w * x_ls).sum())
         with mock.patch.object(spg_module, "_FACE_WAIT", 1):
-            x, _, _, _, _, _ = spg_lasso(sub, tau, x_ls if warm else None)
+            x, _, _, _, _, _ = spg_lasso(sub, tau,
+                                         (x_ls, None, None) if warm else None)
         assert float(np.abs(w * x).sum()) <= tau * (1 + 1e-12)
 
 
@@ -266,8 +285,8 @@ class TestParetoNewton:
 
     @pytest.mark.parametrize("mode", ["certified", "blackbox"])
     def test_newton_step_spends_no_product(self, monkeypatch, desk_instance, mode):
-        # Outside the LASSO solves: one rmatvec for the slope at tau = 0 and
-        # one for each certificate.
+        # Outside the LASSO solves only the rmatvec of the point at tau = 0;
+        # the certificates read the g each solve returns.
         calls = []
         for name in ("matvec", "rmatvec"):
             def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
@@ -294,8 +313,29 @@ class TestParetoNewton:
         _, _, info = pareto_newton(sub, None, mode)
         assert info["newton_steps"] > 0 and certificates
         assert calls.count("matvec") == inside.count("matvec")
-        assert calls.count("rmatvec") - inside.count("rmatvec") \
-            == 1 + len(certificates)
+        assert calls.count("rmatvec") - inside.count("rmatvec") == 1
+
+    @pytest.mark.parametrize("mode", ["certified", "blackbox"])
+    def test_start_points_are_exact(self, monkeypatch, desk_instance, mode):
+        # Every (x, r, g) a solve is started from, over a cold and a warm
+        # Newton search, holds the exact r = b_w - A_k x and g = -A_k^T r.
+        starts = []
+
+        def lasso(sub, tau, start=None, _orig=spg_module.spg_lasso, **kwargs):
+            starts.append((sub, start))
+            return _orig(sub, tau, start, **kwargs)
+
+        monkeypatch.setattr(spg_module, "spg_lasso", lasso)
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        cert, state, _ = pareto_newton(sub, None, mode)
+        pareto_newton(build_subproblem(inst, cert.x_next, 1), state, mode)
+        carried = [(sub, start) for sub, start in starts
+                   if start is not None and start[1] is not None]
+        assert len(carried) >= len(starts) - 1 > 0
+        for sub, (x, r, g) in carried:
+            np.testing.assert_array_equal(r, sub.b_w - sub.matvec(x))
+            np.testing.assert_array_equal(g, -sub.rmatvec(r))
 
     def test_blackbox_records_without_enforcing(self, monkeypatch):
         # a sloppy tolerance fails the certificate bounds; blackbox mode must
@@ -326,11 +366,24 @@ class TestParetoNewton:
         assert not cert.criteria_met
         assert info["escalations"] == spg_module._MAX_ESCALATIONS
 
+    def test_certificate_belongs_to_final_point(self, monkeypatch):
+        # With an unreachable eps_k, some Newton caps run out right after an
+        # escalation's re-solve; the certificate must still be the final
+        # point's.
+        for seed in range(6, 12):
+            for cap in range(1, 30):
+                sub = random_sub(6, 14, seed=seed)
+                sub.eps_k = 1e-15
+                monkeypatch.setattr(spg_module, "_MAX_NEWTON", cap)
+                cert, state, info = pareto_newton(sub, None, "certified")
+                assert cert.x_tilde is state.x_lasso
+                assert info["root_gap"] == cert.coupling_residual
+
 
 class TestCertificate:
-    def test_one_rmatvec_only(self, monkeypatch):
+    def test_spends_no_product(self, monkeypatch):
         sub = random_sub(6, 14, seed=9)
-        x, lam, _, _, r, _ = spg_lasso(sub, 0.01 * sub.ref_objective, None)
+        x, lam, _, _, r, g = spg_lasso(sub, 0.01 * sub.ref_objective, None)
         assert np.linalg.norm(sub.matvec(x) - sub.b_w) > sub.sigma_bar  # retract blends
         want_descent = bool(np.abs(sub.w * retract(sub, x)).sum()
                             <= sub.ref_objective + sub.mu_k)
@@ -340,8 +393,8 @@ class TestCertificate:
                 calls.append(_name)
                 return _orig(self, z)
             monkeypatch.setattr(SubproblemData, name, counted)
-        cert = spg_module._certificate(sub, x, r, lam)
-        assert calls == ["rmatvec"]
+        cert = spg_module._certificate(sub, x, r, g, lam)
+        assert calls == []
         assert cert.descent_ok == want_descent
         np.testing.assert_array_equal(cert.x_next, retract(sub, x))
 
