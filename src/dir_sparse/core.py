@@ -258,8 +258,11 @@ def get_engine(name: str):
 
 
 def build_subproblem(instance: ProblemInstance, x_k: np.ndarray,
-                     k: int) -> SubproblemData:
+                     k: int, y: Optional[np.ndarray] = None) -> SubproblemData:
     """Assemble the weighted BPDN subproblem at the feasible point x_k.
+
+    ``y`` is the residual b - A x_k when the caller already holds it; it is
+    formed here, at one product with A, when it is not given.
 
     The weights are the right derivatives of the penalty at |x_k|; the row
     scalings are sqrt of the loss right derivatives at the squared
@@ -268,9 +271,9 @@ def build_subproblem(instance: ProblemInstance, x_k: np.ndarray,
     constraint.  The accuracy target tau_k = max(5**-(k+1), 1e-8) and the
     descent allowance mu_k = max(1.2**-(k+1), 1e-8) shrink geometrically.
     """
-    y = instance.b - instance.A @ x_k
-    phi_vals = instance.loss.value(y * y)
-    cval = float(phi_vals.sum())
+    if y is None:
+        y = instance.b - instance.A @ x_k
+    cval = _constraint_at(instance, y)
     # "not <=" also rejects a NaN anchor.
     if not cval <= instance.sigma + FEASIBILITY_SLACK:
         raise ValueError(
@@ -294,6 +297,11 @@ def build_subproblem(instance: ProblemInstance, x_k: np.ndarray,
     return SubproblemData(instance=instance, x_k=np.asarray(x_k, float),
                           w=w, v=v, b_w=v * instance.b, sigma_k=float(sigma_k),
                           eps_k=float(eps_k), mu_k=float(mu_k), tau_k=float(tau_k))
+
+
+def _constraint_at(instance: ProblemInstance, y: np.ndarray) -> float:
+    """Constraint value sum_i phi(y_i^2) from the residual y = b - A x."""
+    return float(np.sum(instance.loss.value(y * y)))
 
 
 def retract(sub: SubproblemData, x: np.ndarray) -> np.ndarray:
@@ -342,7 +350,11 @@ def run_dir(instance: ProblemInstance,
     Starts from the least-norm interpolant.  Every iteration builds the
     reweighted subproblem, hands it to the configured engine (warm started
     from the previous inner state) and moves to the certificate's
-    retracted point ``x_next``; no product with A_k is spent here.  Stops
+    retracted point ``x_next``; no product with A_k is spent here.  The
+    residual b - A x at each outer point is formed once: it serves that
+    point's constraint test and the next subproblem, so a run of K outer
+    iterations spends K + 4 products with the raw A, three of them in the
+    final :func:`stationarity_report`.  Stops
     when the relative step ||x_{k+1} - x_k|| / max(||x_k||, 1) drops to
     ``outer_tol``, when ``max_outer`` is hit, or with
     ``subproblem-failure`` when a certified engine's certificate fails the
@@ -364,12 +376,13 @@ def run_dir(instance: ProblemInstance,
     zeta = x
     last_mult = 0.0
     psi_curr = instance.objective(x)
-    constraint_curr = instance.constraint(x)
+    y = instance.b - instance.A @ x
+    constraint_curr = _constraint_at(instance, y)
     error = None
 
     for k in range(config.max_outer):
         tic = time.perf_counter()
-        sub = build_subproblem(instance, x, k)
+        sub = build_subproblem(instance, x, k, y)
         try:
             cert, warm, info = solve(sub, warm)
         except Exception as exc:
@@ -377,7 +390,8 @@ def run_dir(instance: ProblemInstance,
             error = f"{type(exc).__name__}: {exc}"
             break
         x_next = cert.x_next
-        constraint_next = instance.constraint(x_next)
+        y_next = instance.b - instance.A @ x_next
+        constraint_next = _constraint_at(instance, y_next)
         # Plain code so that python -O keeps it; "not <=" also catches NaN.
         if not constraint_next <= instance.sigma + FEASIBILITY_SLACK:
             status = RunStatus.CERTIFICATE_VIOLATION
@@ -423,7 +437,7 @@ def run_dir(instance: ProblemInstance,
 
         zeta = cert.x_tilde
         last_mult = cert.multiplier
-        x = x_next
+        x, y = x_next, y_next
         psi_curr = psi_next
         constraint_curr = constraint_next
 

@@ -17,10 +17,11 @@ starts the next solve and certifies the answer at no further product.
 The root is tracked by safeguarded Newton steps using the dual-norm
 slope phi'(tau) = -||g / w||_inf / ||r||.
 
-Two modes: "certified" keeps tightening the LASSO tolerance until the
-subproblem certificate passes its inexactness bounds (honestly reporting
-failure when escalation is exhausted); "blackbox" runs to the default
-tolerance and records, but never enforces, the certificate bounds.
+Both modes run the LASSO solves at one tolerance, ``_LASSO_TOL``.
+"certified" tightens it tenfold only when the subproblem certificate fails
+its inexactness bounds at the root, down to 1e-13, and honestly reports
+failure when that escalation is exhausted; "blackbox" never tightens, and
+records, but never enforces, the certificate bounds.
 """
 
 import time
@@ -46,12 +47,12 @@ _MAX_SPG_PER_LASSO = 20_000
 # Iterations sign(x) must stay unchanged before spg_lasso tries a face step;
 # doubled after each rejected face minimizer.
 _FACE_WAIT = 20
-# LASSO tolerance in blackbox mode, and the starting one in certified mode.
+# LASSO tolerance of both modes; certified mode starts here.
 _LASSO_TOL = 1e-6
-_LASSO_TOL_CERTIFIED = 1e-9
 _MAX_NEWTON = 50
-# Times certified mode tightens the LASSO tolerance tenfold before failing.
-_MAX_ESCALATIONS = 4
+# Times certified mode tightens the LASSO tolerance tenfold before failing,
+# so its tightest solve runs at _LASSO_TOL / 10**7 = 1e-13.
+_MAX_ESCALATIONS = 7
 
 
 @dataclass
@@ -302,7 +303,6 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
             "degenerate subproblem: x = 0 is already feasible (the Pareto "
             "root is tau = 0), which the standing assumptions rule out")
 
-    lasso_tol = _LASSO_TOL_CERTIFIED if certified else _LASSO_TOL
     mach_slack = 50.0 * np.finfo(float).eps * max(1.0, b_norm)
     root_tol = max(1e-6 * sigma_bar, mach_slack)
     if certified:
@@ -330,7 +330,6 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
                     or escalations >= _MAX_ESCALATIONS):
                 break
             escalations += 1
-            lasso_tol *= 0.1
             root_tol = max(0.1 * root_tol, mach_slack)
             tau_next = tau     # re-evaluate in place at the tighter tolerance
         else:
@@ -346,8 +345,11 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
 
         start = ((warm.x_lasso, None, None) if tau == 0.0 and warm is not None
                  else (x, r, g))
+        # One division, not repeated *= 0.1, whose rounding would end the
+        # seventh escalation 3 ulps above 1e-13.
         x, lasso_multiplier, iters, converged, r, g = spg_lasso(
-            sub, tau_next, start, tol=lasso_tol, stats=face)
+            sub, tau_next, start, tol=_LASSO_TOL / 10 ** escalations,
+            stats=face)
         total_inner += iters
         lasso_unconverged += not converged
         newton_steps += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -143,6 +144,17 @@ class TestBuildSubproblem:
         bad[2] = np.nan
         with pytest.raises(ValueError, match="anchor infeasible"):
             build_subproblem(inst, bad, 0)
+
+    def test_given_residual_spends_no_product(self):
+        inst = make_instance(5, 12, seed=4)
+        x_k = inst.least_norm
+        want = build_subproblem(inst, x_k, 2)
+        y = inst.b - inst.A @ x_k
+        got = build_subproblem(dataclasses.replace(inst, A=None), x_k, 2, y)
+        for f in dataclasses.fields(SubproblemData):
+            if f.name != "instance":
+                np.testing.assert_array_equal(getattr(got, f.name),
+                                              getattr(want, f.name))
 
     def test_schedules_enter_subproblem(self):
         inst = make_instance(5, 12, seed=4)
@@ -462,6 +474,28 @@ class TestRunDir:
         assert res.status is RunStatus.CONVERGED and res.error is None
         for rec in res.history:
             assert rec["matvec_columns"] == 256 * rec["matvec_calls"]
+
+    @pytest.mark.parametrize("engine", ["admm", "spg"])
+    def test_raw_products_per_run(self, desk_instance, engine):
+        # One residual b - A x per outer point serves both its constraint
+        # test and the next subproblem: K + 4 products with the raw A in a
+        # run of K outer iterations, three of them in the stationarity
+        # report.  The operator passes of the engine are counted apart.
+        inst, _ = desk_instance
+        products = []
+
+        class CountingA(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return np.asarray(self) @ other
+
+        res = run_dir(dataclasses.replace(inst, A=inst.A.view(CountingA)),
+                      DirConfig(engine=engine))
+        assert res.status is RunStatus.CONVERGED
+        passes = sum(h["matvec_calls"] + h["rmatvec_calls"] for h in res.history)
+        assert len(products) - passes == len(res.history) + 4
+        plain = run_dir(inst, DirConfig(engine=engine))
+        np.testing.assert_array_equal(res.x_final, plain.x_final)
 
     def test_history_jsonl_parses(self):
         inst = make_instance(6, 15, seed=17)

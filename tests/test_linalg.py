@@ -314,13 +314,24 @@ class TestProperties:
               np.array([11.219887076744714, 13.917571831509017,
                         8.5009450051871, 17.41367770957834]),
               247.62153672762085))
+    # Subnormal input: the weighted norm of p overshoots tau by 14 units of
+    # 2^-1074, and the relative term rounds to 0.
+    @example((np.array([2.22507386e-313]), np.array([6.0]), 1.16816377572e-312))
     def test_projection_feasible_and_idempotent(self, case):
         # Rounding is relative to the input: with tau far below ||w o y||_1
         # the shrinkage |y| - theta w cancels (y = [243], w = [0.05],
         # tau = 1.215e-7 overshoots tau by 1e-8 relative).
+        # Below 2^-1022 rounding is absolute instead, up to half a unit of
+        # 2^-1074 per operation.  The rounding of theta enters the weighted
+        # norm times w . w, and the sums that form theta and that norm and
+        # each entry's shrinkage add at most ||w||_1 + 2 n units more.  For
+        # the drawn weights the floor is at most 2664 units (1.3e-320), under
+        # the relative term of any y with ||w o y||_1 above 1.4e-307 (six times
+        # the smallest normal number).
         y, w, tau = case
+        floor = (float(w @ w) / 2 + float(w.sum()) + 2 * y.size) * 2.0 ** -1074
         p = project_weighted_l1_ball(y, w, tau)
-        assert float(w @ np.abs(p)) <= tau + 1e-13 * float(w @ np.abs(y))
+        assert float(w @ np.abs(p)) <= tau + 1e-13 * float(w @ np.abs(y)) + floor
         pp = project_weighted_l1_ball(p, w, tau)
         assert np.linalg.norm(p - pp) <= 1e-13 * max(1.0, float(np.linalg.norm(y)))
 

@@ -359,12 +359,39 @@ class TestParetoNewton:
         res = run_dir(inst, DirConfig(engine="spg-blackbox", max_outer=1))
         assert res.history[0]["lasso_unconverged"] > 0
 
-    def test_certified_reports_failure_when_exhausted(self):
+    @staticmethod
+    def _record_tolerances(monkeypatch):
+        """Record the tol of every spg_lasso call pareto_newton makes."""
+        tols = []
+
+        def lasso(*args, tol, _orig=spg_module.spg_lasso, **kwargs):
+            tols.append(tol)
+            return _orig(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(spg_module, "spg_lasso", lasso)
+        return tols
+
+    def test_certified_starts_at_blackbox_tolerance(self, monkeypatch,
+                                                    desk_instance):
+        # The desk subproblem certifies at the blackbox tolerance, so
+        # certified mode never tightens it.
+        tols = self._record_tolerances(monkeypatch)
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        cert, _, info = pareto_newton(sub, None, "certified")
+        assert cert.criteria_met
+        assert info["escalations"] == 0
+        assert set(tols) == {spg_module._LASSO_TOL}
+
+    def test_certified_reports_failure_when_exhausted(self, monkeypatch):
+        tols = self._record_tolerances(monkeypatch)
         sub = random_sub(6, 14, seed=8)
         sub.eps_k = 1e-15    # unreachable
         cert, state, info = pareto_newton(sub, None, "certified")
         assert not cert.criteria_met
         assert info["escalations"] == spg_module._MAX_ESCALATIONS
+        assert tols[0] == spg_module._LASSO_TOL
+        assert tols[-1] <= 1e-13
 
     def test_certificate_belongs_to_final_point(self, monkeypatch):
         # With an unreachable eps_k, some Newton caps run out right after an
