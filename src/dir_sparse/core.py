@@ -354,8 +354,10 @@ def run_dir(instance: ProblemInstance,
     residual b - A x at each outer point is formed once: it serves that
     point's constraint test and the next subproblem, so a run of K outer
     iterations spends K + 4 products with the raw A, three of them in the
-    final :func:`stationarity_report`.  Stops
-    when the relative step ||x_{k+1} - x_k|| / max(||x_k||, 1) drops to
+    final :func:`stationarity_report`.  Each history record's
+    ``elapsed_seconds`` includes its ``build_s`` (the
+    :func:`build_subproblem` call) and ``engine_s`` (the engine's solve).
+    Stops when the relative step ||x_{k+1} - x_k|| / max(||x_k||, 1) drops to
     ``outer_tol``, when ``max_outer`` is hit, or with
     ``subproblem-failure`` when a certified engine's certificate fails the
     ``eps_k`` criteria (that answer is kept as the last iteration).  An
@@ -383,12 +385,14 @@ def run_dir(instance: ProblemInstance,
     for k in range(config.max_outer):
         tic = time.perf_counter()
         sub = build_subproblem(instance, x, k, y)
+        built = time.perf_counter()
         try:
             cert, warm, info = solve(sub, warm)
         except Exception as exc:
             status = RunStatus.ENGINE_ERROR
             error = f"{type(exc).__name__}: {exc}"
             break
+        solved = time.perf_counter()
         x_next = cert.x_next
         y_next = instance.b - instance.A @ x_next
         constraint_next = _constraint_at(instance, y_next)
@@ -428,6 +432,8 @@ def run_dir(instance: ProblemInstance,
             "matvec_calls": sub.matvec_calls,
             "rmatvec_calls": sub.rmatvec_calls,
             "matvec_columns": sub.matvec_columns,
+            "build_s": built - tic,
+            "engine_s": solved - built,
             "elapsed_seconds": time.perf_counter() - tic,
         }
         for key, val in info.items():

@@ -15,7 +15,13 @@ the bound ||d|| max(1, 1/alpha) on the unit-step fixed-point residual
 and returns the exact point (x, r = b_w - A_k x, g = -A_k^T r), which
 starts the next solve and certifies the answer at no further product.
 The root is tracked by safeguarded Newton steps using the dual-norm
-slope phi'(tau) = -||g / w||_inf / ||r||.
+slope phi'(tau) = -||g / w||_inf / ||r||.  The Newton steps are inexact,
+as in SPGL1 (van den Berg & Friedlander 2008, section 3): the duality gap
+of a LASSO iterate puts phi(tau) in [phi_lo, ||r||], and a solve ends as
+soon as that interval is narrow next to its distance from sigma_bar, which
+settles the side of the root without settling phi(tau) itself.  Such a
+solve never lands within the root tolerance, so no certificate is read
+from it.
 
 Both modes run the LASSO solves at one tolerance, ``_LASSO_TOL``.
 "certified" tightens it tenfold only when the subproblem certificate fails
@@ -49,6 +55,9 @@ _MAX_SPG_PER_LASSO = 20_000
 _FACE_WAIT = 20
 # LASSO tolerance of both modes; certified mode starts here.
 _LASSO_TOL = 1e-6
+# Inexact-Newton factor c: a solve given a Pareto target ends once its
+# duality-gap interval on phi is within c (|phi - sigma_bar| - root_tol).
+_PARETO_STOP = 0.1
 _MAX_NEWTON = 50
 # Times certified mode tightens the LASSO tolerance tenfold before failing,
 # so its tightest solve runs at _LASSO_TOL / 10**7 = 1e-13.
@@ -109,8 +118,15 @@ def _exact_point(sub: SubproblemData, x):
     return x, r, -sub.rmatvec(r)
 
 
+def _tally(stats: dict | None, key: str, amount) -> None:
+    """Add ``amount`` to ``stats[key]``, from 0 when absent; None is a no-op."""
+    if stats is not None:
+        stats[key] = stats.get(key, 0) + amount
+
+
 def spg_lasso(sub: SubproblemData, tau: float, start=None,
-              tol: float | None = None, stats: dict | None = None):
+              tol: float | None = None, stats: dict | None = None,
+              _target: tuple[float, float] | None = None):
     """Approximately minimize 0.5 ||A_k x - b_w||^2 over ||w o x||_1 <= tau.
 
     ``start`` is an exact point ``(x, r, g)`` as returned here, or
@@ -140,9 +156,7 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     products and stop test run as for a projected direction.  A face step
     costs one QR of the m x (|S| + 1) matrix [A_k[:, S], b_w] and three
     triangular solves, none of them a product with A_k; it is skipped when
-    |S| >= m.  When ``stats`` is a dict, its ``"face_steps"`` and
-    ``"face_s"`` entries are incremented by the face directions taken and
-    the seconds spent in face solves.
+    |S| >= m.
 
     Stops when the relative step or the relative duality gap reaches
     ``tol`` (default ``_LASSO_TOL``) and the next direction d gives
@@ -150,13 +164,30 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     grows with t and shrinks divided by t (Calamai & More 1987), that value
     bounds the unit-step fixed-point residual ||P(x - g) - x||.
 
+    ``_target = (sigma_bar, root_tol)``, passed by :func:`pareto_newton`,
+    adds SPGL1's inexact-Newton stop.  After each iteration, with
+    phi = ||r|| and the duality gap ``gap``, phi(tau) lies in [phi_lo, phi],
+    phi_lo = sqrt(max(phi^2 - 2 gap, 0)); the solve ends once
+    phi - phi_lo <= _PARETO_STOP (|phi - sigma_bar| - root_tol).  As
+    _PARETO_STOP < 1, sigma_bar then lies outside [phi_lo, phi], so the side
+    of the root is certain, and |phi - sigma_bar| > root_tol.  Without a
+    target the solve is exactly the plain one.
+
+    When ``stats`` is a dict, these entries are incremented, counting from
+    0 when absent: ``"face_steps"`` (face directions taken),
+    ``"face_rejections"`` (face minimizers refused or skipped, each of which
+    doubles the wait), ``"face_s"`` (seconds spent in face solves) and
+    ``"pareto_stops"`` (1 when the target ended the solve).
+
     Returns ``(x, lasso_multiplier, iterations, converged, r, g)``, with r
     and g recomputed exactly at exit, since the residual carried through
-    the iterations drifts by rounding.  The multiplier is the shrinkage
-    multiplier of a unit-step gradient projection at the final iterate; at
-    a fixed point the projection multiplier scales linearly with the step,
-    so the unit-step probe is the exact KKT scalar there, whatever the
-    step size of the last move (whose projection may have been inactive).
+    the iterations drifts by rounding; ``converged`` is False only when the
+    solve stopped at ``_MAX_SPG_PER_LASSO`` iterations.  The multiplier is
+    the shrinkage multiplier of a unit-step gradient projection at the
+    final iterate; at a fixed point the projection multiplier scales
+    linearly with the step, so the unit-step probe is the exact KKT scalar
+    there, whatever the step size of the last move (whose projection may
+    have been inactive).
     """
     tol = _LASSO_TOL if tol is None else tol
     if tau < 0:
@@ -197,9 +228,9 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             else:
                 d = np.zeros(n)
                 d[support] = z - x[support]
-            if stats is not None:
-                stats["face_steps"] += z is not None
-                stats["face_s"] += time.perf_counter() - tic
+            _tally(stats, "face_steps", z is not None)
+            _tally(stats, "face_rejections", z is None)
+            _tally(stats, "face_s", time.perf_counter() - tic)
         Ad = sub.matvec(d)
         gd = float(g @ d)
         for k in range(60):
@@ -231,6 +262,16 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             alpha = _ALPHA_MAX
         x, r, g = x_new, r_new, g_new
         recent.append(f_new)
+        if _target is not None:
+            # phi(tau) lies in [phi_lo, phi]; with _PARETO_STOP < 1 a narrow
+            # enough interval lies wholly on one side of sigma_bar.
+            sigma_bar, root_tol = _target
+            phi = np.sqrt(2.0 * f_new)
+            phi_lo = np.sqrt(max(2.0 * (f_new - gap), 0.0))
+            if phi - phi_lo <= _PARETO_STOP * (abs(phi - sigma_bar) - root_tol):
+                _tally(stats, "pareto_stops", 1)
+                converged = True
+                break
         d = project_weighted_l1_ball(x - alpha * g, w, tau) - x
 
         # A tiny BB step alone does not certify optimality (alpha may just
@@ -283,15 +324,23 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     the slope -||g / w||_inf / phi and the certificate are read from it,
     so a Newton step spends no product beyond its LASSO solve.
 
+    Each Newton step's solve gets the target (sigma_bar, root_tol) and ends
+    as soon as its duality gap settles which side of the root tau is on
+    (see :func:`spg_lasso`), so only a solve near the root runs to the
+    LASSO tolerance.  A solve ended that way stays outside root_tol, so
+    the bracket [tau_lo, tau_hi] keeps the root and no certificate is
+    built from it; an escalation's re-solve gets no target.
+
     Returns ``(certificate, state, info)``.  In certified mode the
     certificate bounds are enforced by tightening the LASSO tolerance up
     to ``_MAX_ESCALATIONS`` times, after which the failing certificate is
     returned.  In blackbox mode the bounds are recorded but never enforced.
     The certificate always belongs to the returned ``state.x_lasso``.
     ``info["lasso_unconverged"]`` counts the LASSO solves that stopped at
-    ``_MAX_SPG_PER_LASSO`` iterations, ``info["face_steps"]`` the face
-    directions their iterations took and ``info["face_s"]`` the seconds
-    spent in face solves (see :func:`spg_lasso`).
+    ``_MAX_SPG_PER_LASSO`` iterations and ``info["pareto_stops"]`` those
+    the target ended; ``info["face_steps"]``, ``info["face_rejections"]``
+    and ``info["face_s"]`` sum the face statistics of all the solves (see
+    :func:`spg_lasso`).
     """
     if mode not in ("certified", "blackbox"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -320,7 +369,8 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     escalations = 0
     newton_steps = 0
     lasso_unconverged = 0
-    face = {"face_steps": 0, "face_s": 0.0}
+    stats = {"face_steps": 0, "face_rejections": 0, "face_s": 0.0,
+             "pareto_stops": 0}
     cert = None
 
     for _ in range(_MAX_NEWTON):
@@ -332,6 +382,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
             escalations += 1
             root_tol = max(0.1 * root_tol, mach_slack)
             tau_next = tau     # re-evaluate in place at the tighter tolerance
+            target = None      # ... and run that solve to the tolerance test
         else:
             if phi > sigma_bar:
                 tau_lo = max(tau_lo, tau)
@@ -342,6 +393,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
                     or (tau_hi is not None and tau_next >= tau_hi)):
                 tau_next = (0.5 * (tau_lo + tau_hi) if tau_hi is not None
                             else max(2.0 * tau, 1.0))
+            target = (sigma_bar, root_tol)
 
         start = ((warm.x_lasso, None, None) if tau == 0.0 and warm is not None
                  else (x, r, g))
@@ -349,7 +401,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
         # seventh escalation 3 ulps above 1e-13.
         x, lasso_multiplier, iters, converged, r, g = spg_lasso(
             sub, tau_next, start, tol=_LASSO_TOL / 10 ** escalations,
-            stats=face)
+            stats=stats, _target=target)
         total_inner += iters
         lasso_unconverged += not converged
         newton_steps += 1
@@ -363,7 +415,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     state = SpgState(tau=tau, x_lasso=x, history=history)
     info = {"iterations": total_inner, "newton_steps": newton_steps,
             "escalations": escalations, "root_gap": abs(phi - sigma_bar),
-            "lasso_unconverged": lasso_unconverged, **face}
+            "lasso_unconverged": lasso_unconverged, **stats}
     return cert, state, info
 
 

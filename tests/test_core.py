@@ -509,6 +509,16 @@ class TestRunDir:
                         "kkt_residual", "coupling_residual", "elapsed_seconds"):
                 assert key in parsed
 
+    @pytest.mark.parametrize("engine", ["admm", "spg"])
+    def test_history_times_build_and_engine(self, desk_instance, engine):
+        inst, _ = desk_instance
+        res = run_dir(inst, DirConfig(engine=engine, max_outer=3, outer_tol=0.0))
+        for rec in res.history:
+            assert rec["build_s"] >= 0.0 and rec["engine_s"] >= 0.0
+            assert rec["build_s"] + rec["engine_s"] <= rec["elapsed_seconds"]
+        parsed = [json.loads(line) for line in res.history_jsonl().splitlines()]
+        assert parsed == res.history
+
     @pytest.mark.parametrize("engine, keys", [
         ("admm", {"best_kkt", "best_kkt_iter", "exact_checks"}),
         ("spg", {"newton_steps", "escalations", "root_gap",

@@ -407,6 +407,157 @@ class TestParetoNewton:
                 assert info["root_gap"] == cert.coupling_residual
 
 
+def reference_root(sub, tol=1e-12):
+    """Root of phi(tau) = sigma_bar by plain Newton steps on tight solves.
+
+    phi is convex and decreasing, so Newton steps from tau = 0 approach the
+    root from the left.
+    """
+    sigma_bar = sub.sigma_bar
+    tau, point = 0.0, None
+    r = sub.b_w
+    g = -sub.rmatvec(r)
+    for _ in range(60):
+        phi = float(np.linalg.norm(r))
+        if abs(phi - sigma_bar) <= 1e-12 * sigma_bar:
+            break
+        tau += (phi - sigma_bar) * phi / float(np.abs(g / sub.w).max())
+        x, _, _, _, r, g = spg_lasso(sub, tau, point, tol=tol)
+        point = (x, r, g)
+    return tau
+
+
+class TestInexactNewton:
+    @staticmethod
+    def _record_solves(monkeypatch):
+        """Record (tau, target, x, r, ended on the target) of every solve."""
+        solves = []
+
+        def lasso(sub, tau, start=None, *, stats, _target=None,
+                  _orig=spg_module.spg_lasso, **kwargs):
+            before = stats["pareto_stops"]
+            out = _orig(sub, tau, start, stats=stats, _target=_target, **kwargs)
+            solves.append((tau, _target, out[0], out[4],
+                           stats["pareto_stops"] > before))
+            return out
+
+        monkeypatch.setattr(spg_module, "spg_lasso", lasso)
+        return solves
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stop_settles_the_side_of_the_root(self, seed):
+        # Solves on both sides of the root, each ended by the target; a
+        # tight reference solve at the same tau confirms the side and the
+        # gap interval [phi_lo, phi].
+        sub = random_sub(12, 40, seed=seed)
+        sigma_bar = sub.sigma_bar
+        _, state, _ = pareto_newton(sub, None, "blackbox")
+        sides = set()
+        for fraction in (0.5, 0.8, 0.95, 0.99, 1.01, 1.05, 1.2, 2.0):
+            tau = fraction * state.tau
+            stats = {}
+            target = (sigma_bar, 1e-6 * sigma_bar)
+            x, _, _, conv, r, g = spg_lasso(sub, tau, None, stats=stats,
+                                            _target=target)
+            if not stats.get("pareto_stops"):
+                continue
+            assert conv
+            phi = float(np.linalg.norm(r))
+            gap = tau * float(np.abs(g / sub.w).max()) + float(x @ g)
+            phi_lo = np.sqrt(max(phi * phi - 2.0 * gap, 0.0))
+            _, _, _, conv_ref, r_ref, _ = spg_lasso(sub, tau, None, tol=1e-12)
+            phi_ref = float(np.linalg.norm(r_ref))
+            assert conv_ref
+            assert np.sign(phi_ref - sigma_bar) == np.sign(phi - sigma_bar)
+            rounding = 1e-9 * sigma_bar
+            assert phi_lo - rounding <= phi_ref <= phi + rounding
+            sides.add(phi > sigma_bar)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("mode", ["certified", "blackbox"])
+    def test_certificate_never_from_a_stopped_solve(self, monkeypatch,
+                                                    desk_instance, mode):
+        solves = self._record_solves(monkeypatch)
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        cert, state, info = pareto_newton(sub, None, mode)
+        cert2, _, info2 = pareto_newton(build_subproblem(inst, cert.x_next, 1),
+                                        state, mode)
+        assert info["pareto_stops"] > 0 and info2["pareto_stops"] > 0
+        assert sum(stopped for *_, stopped in solves) \
+            == info["pareto_stops"] + info2["pareto_stops"]
+        for c in (cert, cert2):
+            source = [stopped for _, _, x, _, stopped in solves
+                      if x is c.x_tilde]
+            assert source == [False]
+
+    @pytest.mark.parametrize("mode", ["certified", "blackbox"])
+    def test_bracket_keeps_reference_root(self, monkeypatch, desk_instance,
+                                          mode):
+        # Every solve that lands outside root_tol moves one end of the
+        # bracket [tau_lo, tau_hi]; the root of tight solves stays inside.
+        solves = self._record_solves(monkeypatch)
+        inst, _ = desk_instance
+        subs = [build_subproblem(inst, inst.least_norm, 0),
+                random_sub(12, 40, seed=1), random_sub(20, 60, seed=0)]
+        for sub in subs:
+            solves.clear()
+            pareto_newton(sub, None, mode)
+            tau_ref = reference_root(sub)
+            tau_lo, tau_hi = 0.0, np.inf
+            for tau, target, _, r, stopped in solves:
+                if target is None:
+                    continue
+                sigma_bar, root_tol = target
+                phi = float(np.linalg.norm(r))
+                if phi > sigma_bar + root_tol:
+                    tau_lo = max(tau_lo, tau)
+                elif phi < sigma_bar - root_tol:
+                    tau_hi = min(tau_hi, tau)
+                else:
+                    assert not stopped
+                assert tau_lo < tau_ref < tau_hi
+            assert any(stopped for *_, stopped in solves)
+
+    def test_unreachable_target_is_the_plain_solve(self, desk_instance):
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        tau = 0.3 * sub.ref_objective
+        plain = spg_lasso(sub, tau, None)
+        stats = {}
+        targeted = spg_lasso(sub, tau, None, stats=stats,
+                             _target=(sub.sigma_bar, np.inf))
+        assert "pareto_stops" not in stats
+        for a, b in zip(plain, targeted):
+            np.testing.assert_array_equal(a, b)
+
+    def test_history_counts_stops_and_face_rejections(self, desk_instance):
+        inst, _ = desk_instance
+        res = run_dir(inst, DirConfig(engine="spg-blackbox"))
+        for rec in res.history:
+            assert 0 < rec["pareto_stops"] < rec["newton_steps"]
+            assert rec["lasso_unconverged"] == 0
+            assert rec["face_rejections"] == 0      # every face tried held
+        assert sum(rec["face_steps"] for rec in res.history) > 0
+
+
+class TestFaceRejections:
+    def test_each_refusal_counted_and_wait_doubled(self, monkeypatch,
+                                                   desk_instance):
+        # With every face minimizer refused, the tries come after waits of
+        # _FACE_WAIT, 2 _FACE_WAIT, 4 _FACE_WAIT, ... steady iterations.
+        monkeypatch.setattr(spg_module, "_face_minimizer", lambda *a: None)
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        stats = {}
+        _, _, iters, conv, _, _ = spg_lasso(sub, 0.3 * sub.ref_objective, None,
+                                            stats=stats)
+        assert conv and stats["face_steps"] == 0
+        tries = stats["face_rejections"]
+        assert tries > 0
+        assert spg_module._FACE_WAIT * (2 ** tries - 1) <= iters
+
+
 class TestCertificate:
     def test_spends_no_product(self, monkeypatch):
         sub = random_sub(6, 14, seed=9)
