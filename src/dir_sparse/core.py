@@ -355,8 +355,10 @@ def run_dir(instance: ProblemInstance,
     point's constraint test and the next subproblem, so a run of K outer
     iterations spends K + 4 products with the raw A, three of them in the
     final :func:`stationarity_report`.  Each history record's
-    ``elapsed_seconds`` includes its ``build_s`` (the
-    :func:`build_subproblem` call) and ``engine_s`` (the engine's solve).
+    ``elapsed_seconds`` is the sum of its ``build_s`` (the
+    :func:`build_subproblem` call), ``engine_s`` (the engine's solve) and
+    ``retract_s`` (the residual b - A x_next and the constraint test of the
+    retracted point), plus the time to build the record itself.
     Stops when the relative step ||x_{k+1} - x_k|| / max(||x_k||, 1) drops to
     ``outer_tol``, when ``max_outer`` is hit, or with
     ``subproblem-failure`` when a certified engine's certificate fails the
@@ -400,6 +402,7 @@ def run_dir(instance: ProblemInstance,
         if not constraint_next <= instance.sigma + FEASIBILITY_SLACK:
             status = RunStatus.CERTIFICATE_VIOLATION
             break
+        retracted = time.perf_counter()
         accepted = not certified or cert.criteria_met
 
         step = float(np.linalg.norm(x_next - x))
@@ -434,6 +437,7 @@ def run_dir(instance: ProblemInstance,
             "matvec_columns": sub.matvec_columns,
             "build_s": built - tic,
             "engine_s": solved - built,
+            "retract_s": retracted - solved,
             "elapsed_seconds": time.perf_counter() - tic,
         }
         for key, val in info.items():

@@ -7,13 +7,15 @@ tau-constrained weighted LASSO.  Each phi evaluation is a projected
 gradient solve with Barzilai-Borwein steps and a nonmonotone line search
 along the fixed projected direction d = P(x - alpha g) - x, so that an
 iteration spends one projection, one product A_k d and one product
-A_k^T r.  Once the signs of x have settled, an iteration's direction
-instead points to the least-squares minimizer on the face of the l1 ball
-those signs select, found from one QR of the face's columns of A_k (a
-subspace step as in FPC_AS); it spends no further product.  It stops on
-the bound ||d|| max(1, 1/alpha) on the unit-step fixed-point residual
-and returns the exact point (x, r = b_w - A_k x, g = -A_k^T r), which
-starts the next solve and certifies the answer at no further product.
+A_k^T r.  Every ``_FACE_WAIT`` iterations an iteration's direction may
+instead point to the least-squares minimizer on the face of the l1 ball
+that the signs of x select, with any entry whose sign flips set to zero,
+found from one QR of the face's columns of A_k (a subspace step as in
+FPC_AS); it is taken only as a descent direction and spends no further
+product.  It stops on the bound ||d|| max(1, 1/alpha) on the unit-step
+fixed-point residual and returns the exact point (x, r = b_w - A_k x,
+g = -A_k^T r), which starts the next solve and certifies the answer at no
+further product.
 The root is tracked by safeguarded Newton steps using the dual-norm
 slope phi'(tau) = -||g / w||_inf / ||r||.  The Newton steps are inexact,
 as in SPGL1 (van den Berg & Friedlander 2008, section 3): the duality gap
@@ -50,8 +52,8 @@ _ALPHA_MAX = 1e10
 _ARMIJO_CONST = 1e-4
 _NONMONOTONE_MEMORY = 10
 _MAX_SPG_PER_LASSO = 20_000
-# Iterations sign(x) must stay unchanged before spg_lasso tries a face step;
-# doubled after each rejected face minimizer.
+# Iterations between spg_lasso's tries of a face step; doubled after each
+# refused try.
 _FACE_WAIT = 20
 # LASSO tolerance of both modes; certified mode starts here.
 _LASSO_TOL = 1e-6
@@ -88,9 +90,11 @@ def _face_minimizer(sub: SubproblemData, support, signs, tau: float):
     c = w[support] o signs.  One QR of [A_k[:, support], b_w], m x (|S| + 1),
     gives R and Q^T b_w; then z = z_ls - mu h with z_ls = R^-1 Q^T b_w,
     h = R^-1 R^-T c and mu = (c . z_ls - tau) / (c . h).  Returns z on the
-    support, or None when |S| >= m, mu < 0 (the ball is not binding on the
-    face) or some sign of z differs from ``signs``.  z is scaled down by
-    tau / (c . z) when rounding puts it outside the ball.
+    support, or None when |S| >= m or mu < 0 (the ball is not binding on the
+    face).  Entries of z whose sign differs from ``signs`` are set to 0 (the
+    projection onto the face's orthant), which raises c . z, and z is then
+    scaled down by tau / (c . z), so that it keeps ``signs`` or is 0 on each
+    entry and lies in the ball.
     """
     m = sub.b_w.shape[0]
     k = support.size
@@ -105,9 +109,10 @@ def _face_minimizer(sub: SubproblemData, support, signs, tau: float):
     z_ls = solve_upper(R, qtb)
     h = solve_upper(R, solve_upper(R, c, trans=True))
     mu = (float(c @ z_ls) - tau) / float(c @ h)
-    z = z_ls - mu * h
-    if not (mu >= 0.0 and np.array_equal(np.sign(z), signs)):
+    if not mu >= 0.0:
         return None
+    z = z_ls - mu * h
+    z[np.sign(z) != signs] = 0.0
     cz = float(c @ z)
     return z * (tau / cz) if cz > tau else z
 
@@ -145,18 +150,20 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     residual r - s A_k d, so backtracking spends no product and no
     projection.
 
-    Face steps (subspace minimization on the identified face, as in FPC_AS,
-    Wen, Yin, Goldfarb & Zhang 2010): once sign(x) has stayed the same for
-    ``_FACE_WAIT`` iterations, that iteration's direction is d = z - x,
-    where z minimizes the objective on the face of the ball that x's signs
-    select (:func:`_face_minimizer`).  z is accepted only if the ball
-    binds on the face and z keeps every sign of x; otherwise the wait
-    doubles.  Because z is that minimizer, f(z) - f(x) <= (g . d) / 2, so
-    the unit step passes the Armijo test in exact arithmetic; the search,
-    products and stop test run as for a projected direction.  A face step
-    costs one QR of the m x (|S| + 1) matrix [A_k[:, S], b_w] and three
-    triangular solves, none of them a product with A_k; it is skipped when
-    |S| >= m.
+    Face steps (subspace minimization on the working face, as in FPC_AS,
+    Wen, Yin, Goldfarb & Zhang 2010): ``_FACE_WAIT`` iterations after the
+    last try, whether or not sign(x) has changed since, that iteration's
+    direction may be d = z - x, where z minimizes the objective on the face
+    of the ball that x's signs select, with the entries whose sign flips
+    set to 0 and the result scaled into the ball (:func:`_face_minimizer`).
+    As z and x both lie in the ball, x + s d does for every s in [0, 1].
+    d is taken only when g . d < 0: a feasible descent direction, along
+    which the Armijo search terminates; the search, products and stop test
+    run as for a projected direction.  A try is refused, and the wait
+    doubles, when |S| >= m (no QR is formed), when the ball does not bind
+    on the face, or when d is not a descent direction.  A try costs one QR
+    of the m x (|S| + 1) matrix [A_k[:, S], b_w] and three triangular
+    solves, none of them a product with A_k.
 
     Stops when the relative step or the relative duality gap reaches
     ``tol`` (default ``_LASSO_TOL``) and the next direction d gives
@@ -175,9 +182,10 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
 
     When ``stats`` is a dict, these entries are incremented, counting from
     0 when absent: ``"face_steps"`` (face directions taken),
-    ``"face_rejections"`` (face minimizers refused or skipped, each of which
-    doubles the wait), ``"face_s"`` (seconds spent in face solves) and
-    ``"pareto_stops"`` (1 when the target ended the solve).
+    ``"face_truncations"`` (face directions taken whose minimizer had a
+    flipped entry set to 0), ``"face_rejections"`` (face tries refused,
+    each of which doubles the wait), ``"face_s"`` (seconds spent in face
+    tries) and ``"pareto_stops"`` (1 when the target ended the solve).
 
     Returns ``(x, lasso_multiplier, iterations, converged, r, g)``, with r
     and g recomputed exactly at exit, since the residual carried through
@@ -210,7 +218,7 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     converged = False
     it = 0
     face_wait = _FACE_WAIT
-    steady = 0              # iterations since sign(x) last changed
+    idle = 0                # iterations since the last face try
 
     f_noise = 10.0 * np.finfo(float).eps
     for it in range(1, _MAX_SPG_PER_LASSO + 1):
@@ -218,18 +226,24 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
         # Allowance for float cancellation in f; without it the test can
         # never pass near a fixed point and backtracking kills the step.
         slack = f_noise * max(1.0, f_ref)
-        if steady >= face_wait:
-            steady = 0
+        if idle >= face_wait:
+            idle = 0
             tic = time.perf_counter()
             support = np.flatnonzero(x)
             z = _face_minimizer(sub, support, np.sign(x[support]), tau)
-            if z is None:
-                face_wait *= 2
-            else:
+            # z and x both lie in the ball, so z - x is feasible; it is taken
+            # only as a descent direction, along which the search terminates.
+            dz = None if z is None else z - x[support]
+            taken = dz is not None and float(g[support] @ dz) < 0.0
+            if taken:
                 d = np.zeros(n)
-                d[support] = z - x[support]
-            _tally(stats, "face_steps", z is not None)
-            _tally(stats, "face_rejections", z is None)
+                d[support] = dz
+            else:
+                face_wait *= 2
+            _tally(stats, "face_steps", taken)
+            # x is nonzero on its support, so a zero of z is a zeroed sign flip.
+            _tally(stats, "face_truncations", taken and not z.all())
+            _tally(stats, "face_rejections", not taken)
             _tally(stats, "face_s", time.perf_counter() - tic)
         Ad = sub.matvec(d)
         gd = float(g @ d)
@@ -241,7 +255,7 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
                 break
         x_new = x + s * d
         g_new = -sub.rmatvec(r_new)
-        steady = steady + 1 if np.array_equal(np.sign(x_new), np.sign(x)) else 0
+        idle += 1
 
         dx = s * d
         dual_norm = float(np.abs(g_new / w).max())
@@ -338,9 +352,9 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     The certificate always belongs to the returned ``state.x_lasso``.
     ``info["lasso_unconverged"]`` counts the LASSO solves that stopped at
     ``_MAX_SPG_PER_LASSO`` iterations and ``info["pareto_stops"]`` those
-    the target ended; ``info["face_steps"]``, ``info["face_rejections"]``
-    and ``info["face_s"]`` sum the face statistics of all the solves (see
-    :func:`spg_lasso`).
+    the target ended; ``info["face_steps"]``, ``info["face_truncations"]``,
+    ``info["face_rejections"]`` and ``info["face_s"]`` sum the face
+    statistics of all the solves (see :func:`spg_lasso`).
     """
     if mode not in ("certified", "blackbox"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -369,8 +383,8 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     escalations = 0
     newton_steps = 0
     lasso_unconverged = 0
-    stats = {"face_steps": 0, "face_rejections": 0, "face_s": 0.0,
-             "pareto_stops": 0}
+    stats = {"face_steps": 0, "face_truncations": 0, "face_rejections": 0,
+             "face_s": 0.0, "pareto_stops": 0}
     cert = None
 
     for _ in range(_MAX_NEWTON):

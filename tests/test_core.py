@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -518,6 +519,31 @@ class TestRunDir:
             assert rec["build_s"] + rec["engine_s"] <= rec["elapsed_seconds"]
         parsed = [json.loads(line) for line in res.history_jsonl().splitlines()]
         assert parsed == res.history
+
+    @pytest.mark.parametrize("engine", ["admm", "spg"])
+    def test_elapsed_is_build_engine_and_retract(self, monkeypatch,
+                                                 desk_instance, engine):
+        # Each constraint test sleeps `delay`: one in build_subproblem and
+        # one on the retracted point, so build_s and retract_s each hold at
+        # least one, and what is left of elapsed_seconds (building the
+        # record) holds none.
+        delay = 0.05
+        constraint_at = dir_sparse.core._constraint_at
+
+        def slow(instance, y):
+            time.sleep(delay)
+            return constraint_at(instance, y)
+
+        monkeypatch.setattr(dir_sparse.core, "_constraint_at", slow)
+        inst, _ = desk_instance
+        res = run_dir(inst, DirConfig(engine=engine, max_outer=3, outer_tol=0.0))
+        assert len(res.history) == 3
+        for rec in res.history:
+            assert rec["build_s"] >= delay and rec["retract_s"] >= delay
+            assert rec["engine_s"] >= 0.0
+            rest = rec["elapsed_seconds"] - (
+                rec["build_s"] + rec["engine_s"] + rec["retract_s"])
+            assert 0.0 <= rest < delay
 
     @pytest.mark.parametrize("engine, keys", [
         ("admm", {"best_kkt", "best_kkt_iter", "exact_checks"}),

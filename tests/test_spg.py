@@ -175,12 +175,23 @@ class TestFaceMinimizer:
         np.testing.assert_allclose(z, z_kkt, rtol=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_none_when_a_sign_flips(self, seed):
+    def test_sign_flips_truncated_into_ball(self, seed):
+        # The face minimizer flips a sign; those entries are zeroed and the
+        # rest is scaled onto the ball.
         sub, support, signs, c_zls = random_face(seed)
         tau = 0.02 * c_zls
         z_kkt, mu = face_kkt(sub, support, signs, tau)
-        assert mu > 0 and not np.array_equal(np.sign(z_kkt), signs)
-        assert spg_module._face_minimizer(sub, support, signs, tau) is None
+        flipped = np.sign(z_kkt) != signs
+        assert mu > 0 and flipped.any()
+        z = spg_module._face_minimizer(sub, support, signs, tau)
+        assert z is not None
+        assert np.all((np.sign(z) == signs) | (z == 0.0))
+        np.testing.assert_array_equal(z[flipped], 0.0)
+        assert float(np.abs(sub.w[support] * z).sum()) <= tau * (1 + 1e-14)
+        kept = np.where(flipped, 0.0, z_kkt)
+        c = sub.w[support] * signs
+        np.testing.assert_allclose(z, kept * (tau / float(c @ kept)),
+                                   rtol=1e-9, atol=1e-12 * tau)
 
     def test_none_when_ball_does_not_bind(self):
         sub, support, signs, c_zls = random_face(0)
@@ -200,6 +211,13 @@ class TestFaceMinimizer:
                                             stats=stats)
         assert conv and iters >= 200
         assert stats["face_steps"] > 0 and stats["face_s"] > 0.0
+
+    def test_history_counts_face_truncations(self, desk_instance):
+        inst, _ = desk_instance
+        res = run_dir(inst, DirConfig(engine="spg-blackbox"))
+        for rec in res.history:
+            assert 0 <= rec["face_truncations"] <= rec["face_steps"]
+        assert sum(rec["face_truncations"] for rec in res.history) > 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.floats(1e-3, 1.2),
@@ -545,7 +563,7 @@ class TestFaceRejections:
     def test_each_refusal_counted_and_wait_doubled(self, monkeypatch,
                                                    desk_instance):
         # With every face minimizer refused, the tries come after waits of
-        # _FACE_WAIT, 2 _FACE_WAIT, 4 _FACE_WAIT, ... steady iterations.
+        # _FACE_WAIT, 2 _FACE_WAIT, 4 _FACE_WAIT, ... iterations.
         monkeypatch.setattr(spg_module, "_face_minimizer", lambda *a: None)
         inst, _ = desk_instance
         sub = build_subproblem(inst, inst.least_norm, 0)
@@ -556,6 +574,28 @@ class TestFaceRejections:
         tries = stats["face_rejections"]
         assert tries > 0
         assert spg_module._FACE_WAIT * (2 ** tries - 1) <= iters
+
+    def test_non_descent_face_point_refused(self, monkeypatch):
+        # From the exact LASSO optimum x*, the face point 0 (every sign
+        # flipped and zeroed) gives g . (0 - x*) = tau ||g / w||_inf > 0, so
+        # each try is refused and counted, and none is taken.
+        sub = random_sub(12, 40, seed=3)
+        tau = 0.3 * sub.ref_objective
+        x, _, _, conv, r, g = spg_lasso(sub, tau, None, tol=1e-12)
+        assert conv and -float(g @ x) > 0.0
+        tries = []
+
+        def zeroed(sub, support, signs, tau):
+            tries.append(support.size)
+            return np.zeros(support.size)
+
+        monkeypatch.setattr(spg_module, "_face_minimizer", zeroed)
+        monkeypatch.setattr(spg_module, "_FACE_WAIT", 0)
+        stats = {}
+        spg_lasso(sub, tau, (x, r, g), stats=stats)
+        assert tries and tries[0] == np.count_nonzero(x)
+        assert stats["face_rejections"] == len(tries)
+        assert stats["face_steps"] == 0 and stats["face_truncations"] == 0
 
 
 class TestCertificate:
