@@ -12,6 +12,16 @@ from the gradients the sweeps compute anyway (linearized ADMM for BPDN,
 Yang & Zhang 2011, SIAM J. Sci. Comput. 33(1)); it only decides when to
 test.  Each acceptance candidate costs one more ``rmatvec``, which
 recomputes the surrogate exactly, and only that exact value can certify.
+
+The penalty beta starts every solve at Lbar**-0.5 and is balanced against
+the residuals (Boyd et al. 2011, Section 3.4.1): every ``_ADAPT_EVERY``
+sweeps it doubles when the largest coupling residual of the window exceeds
+``_ADAPT_RATIO`` times the largest carried surrogate, and halves in the
+opposite case.  Comparing window maxima rather than one sweep's values
+keeps beta from oscillating, and at most ``_ADAPT_MAX`` changes per solve
+leave it fixed in the end, so the fixed-penalty convergence theory applies
+(He, Yang & Wang 2000, JOTA 106).  A change rescales the carried
+A_k^T lam / beta exactly and spends no product.
 """
 
 from dataclasses import dataclass
@@ -27,12 +37,17 @@ from .linalg import project_l2_ball, soft_threshold
 
 
 # Dual step factor; convergence needs 0 < gamma < (1 + sqrt(5)) / 2.  The
-# penalty beta and the proximal coefficient are not free parameters: they are
-# recomputed for every subproblem as beta = Lbar**-0.5 and prox = Lbar * beta
-# from the scaled Gram bound Lbar, which keeps the proximal term positive
-# semidefinite.
+# proximal coefficient is prox = Lbar * beta for the scaled Gram bound Lbar,
+# which keeps the proximal term beta (Lbar I - A_k^T A_k) positive
+# semidefinite for every penalty beta.  Each solve starts at
+# beta = Lbar**-0.5; the residual balancing below may double or halve it.
 _GAMMA = 0.99 * (1.0 + math.sqrt(5.0)) / 2.0
 _MAX_INNER = 100_000
+# Residual balancing: window length in sweeps, imbalance ratio that changes
+# beta by a factor 2, and the cap on changes per solve.
+_ADAPT_EVERY = 50
+_ADAPT_RATIO = 5.0
+_ADAPT_MAX = 20
 
 
 @dataclass
@@ -45,10 +60,9 @@ class AdmmState:
 
 
 def _scaling(sub: SubproblemData):
-    """Per-subproblem constants (Lbar, beta, prox coefficient)."""
+    """Scaled Gram bound Lbar and the starting penalty Lbar**-0.5."""
     L_bar = max(sub.gram_bound(), np.finfo(float).tiny)
-    beta = L_bar ** -0.5
-    return L_bar, beta, L_bar * beta
+    return L_bar, L_bar ** -0.5
 
 
 def _gradient(sub, Akx, u, lam, beta):
@@ -67,9 +81,11 @@ def _advance(sub, x, g, lam, L_bar, beta, gamma):
     return x_new, Akx_new, z, u_new, lam_new, r
 
 
-def admm_step(state: AdmmState, sub: SubproblemData) -> AdmmState:
-    """Apply one ADMM sweep to ``state`` and return the advanced state."""
-    L_bar, beta, _ = _scaling(sub)
+def admm_step(state: AdmmState, sub: SubproblemData,
+              beta: float | None = None) -> AdmmState:
+    """Apply one ADMM sweep at penalty ``beta`` (default Lbar**-0.5)."""
+    L_bar, beta0 = _scaling(sub)
+    beta = beta0 if beta is None else beta
     g = _gradient(sub, sub.matvec(state.x), state.u, state.lam, beta)
     x_new, _, _, u_new, lam_new, _ = _advance(
         sub, state.x, g, state.lam, L_bar, beta, _GAMMA)
@@ -84,9 +100,19 @@ def _carried_kkt(q, q_prev, dx, beta, L_bar) -> float:
     return beta * float(np.linalg.norm((q - q_prev) - L_bar * dx))
 
 
-def _exact_kkt(sub, dAkx, du, dx, beta, prox) -> float:
+def _exact_kkt(sub, dAkx, du, dx, beta, L_bar) -> float:
     """Norm of the surrogate beta * A_k^T (A_k dx - du) - prox * dx."""
+    prox = L_bar * beta
     return float(np.linalg.norm(beta * sub.rmatvec(dAkx - du) - prox * dx))
+
+
+def _balance(kkt_max: float, coupling_max: float) -> float:
+    """Factor for beta from a window's largest residuals: 2, 1/2 or 1."""
+    if coupling_max > _ADAPT_RATIO * kkt_max:
+        return 2.0
+    if kkt_max > _ADAPT_RATIO * coupling_max:
+        return 0.5
+    return 1.0
 
 
 def _ball_multiplier(z: np.ndarray, sigma_bar: float, beta: float) -> float:
@@ -123,9 +149,18 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     certificate's ``kkt_residual`` use only that exact value.  A warm start
     with a nonzero multiplier costs one ``rmatvec`` more to seed p.
 
+    The penalty starts at beta = Lbar**-0.5.  At the end of every
+    ``_ADAPT_EVERY``-th sweep that was not an exact check, the largest
+    carried surrogate K and the largest coupling residual C since the last
+    such check are compared: beta doubles if C > ``_ADAPT_RATIO`` K and
+    halves if K > ``_ADAPT_RATIO`` C, at most ``_ADAPT_MAX`` times per
+    solve.  q does not depend on beta, and p and g = q - p are rescaled in
+    place, so a change spends no product.
+
     Returns ``(certificate, state, info)`` where ``info`` carries the
-    iteration count, the trajectory minimum of the optimality surrogate
-    and the number of exact checks.  After ``_MAX_INNER`` sweeps the
+    iteration count, the trajectory minimum of the optimality surrogate,
+    the number of exact checks, the number of penalty changes and the final
+    ``beta_scale`` = beta * Lbar**0.5.  After ``_MAX_INNER`` sweeps the
     certificate of the last iterate is returned, whether it passes or not.
     """
     n = sub.w.shape[0]
@@ -135,7 +170,8 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     else:
         x, u, lam = warm.x.copy(), warm.u.copy(), warm.lam.copy()
 
-    L_bar, beta, lam_prox = _scaling(sub)
+    L_bar, beta0 = _scaling(sub)
+    beta = beta0
     gamma = _GAMMA
     Akx = sub.matvec(x)
     g = _gradient(sub, Akx, u, lam, beta)
@@ -148,6 +184,8 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     best_kkt = math.inf
     best_kkt_iter = -1
     exact_checks = 0
+    changes = 0
+    kkt_window = coupling_window = 0.0
     cert = None
 
     for it in range(1, _MAX_INNER + 1):
@@ -160,9 +198,11 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
         dx = x_new - x
         kkt = _carried_kkt(q_new, q, dx, beta, L_bar)
         coupling = float(np.linalg.norm(r))
+        kkt_window = max(kkt_window, kkt)
+        coupling_window = max(coupling_window, coupling)
         exact = (kkt <= eps_k and coupling <= eps_k) or it == _MAX_INNER
         if exact:
-            kkt = _exact_kkt(sub, Akx_new - Akx, u_new - u, dx, beta, lam_prox)
+            kkt = _exact_kkt(sub, Akx_new - Akx, u_new - u, dx, beta, L_bar)
             exact_checks += 1
         if kkt < best_kkt:
             best_kkt = kkt
@@ -177,9 +217,19 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
                 kkt_residual=kkt, coupling_residual=coupling)
             if cert.criteria_met:
                 break
+        elif it % _ADAPT_EVERY == 0:
+            factor = _balance(kkt_window, coupling_window)
+            if factor != 1.0 and changes < _ADAPT_MAX:
+                # p = A_k^T lam / beta scales with 1 / beta; q does not.
+                p /= factor
+                g = q - p
+                beta *= factor
+                changes += 1
+            kkt_window = coupling_window = 0.0
 
     info = {"iterations": it, "best_kkt": best_kkt,
-            "best_kkt_iter": best_kkt_iter, "exact_checks": exact_checks}
+            "best_kkt_iter": best_kkt_iter, "exact_checks": exact_checks,
+            "penalty_changes": changes, "beta_scale": beta / beta0}
     return cert, AdmmState(x=x, u=u, lam=lam), info
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dir_sparse import (AdmmState, LossKind, LossSpec, PenaltySpec, admm_solve,
-                        admm_step, build_subproblem, retract)
+from dir_sparse import (AdmmState, DirConfig, LossKind, LossSpec, PenaltySpec,
+                        RunStatus, admm_solve, admm_step, build_subproblem,
+                        retract, run_dir)
 from dir_sparse import admm as admm_module
 from dir_sparse.admm import _ball_multiplier
 from dir_sparse.core import ProblemInstance, SubproblemData
@@ -109,11 +110,35 @@ class TestStep:
 
 
 class TestSolve:
+    @staticmethod
+    def _record_penalties(monkeypatch):
+        """List that receives the penalty beta of every sweep ADMM takes.
+
+        ``admm_step`` sweeps append to it too, so copy it before a replay.
+        """
+        betas = []
+        advance = admm_module._advance
+
+        def spy(sub, x, g, lam, L_bar, beta, gamma):
+            betas.append(beta)
+            return advance(sub, x, g, lam, L_bar, beta, gamma)
+        monkeypatch.setattr(admm_module, "_advance", spy)
+        return betas
+
+    @staticmethod
+    def _replay(sub, warm, betas):
+        """States after each of the sweeps ``admm_step`` takes at ``betas``."""
+        states = [warm]
+        for beta in betas:
+            states.append(admm_step(states[-1], sub, beta))
+        return states
+
     def test_trajectory_matches_repeated_steps(self, monkeypatch):
         sub = build_random_sub(4, 10, seed=1, eps_k=-1.0)  # never accept
         monkeypatch.setattr(admm_module, "_MAX_INNER", 40)
         cert, state, info = admm_solve(sub, None)
         assert info["iterations"] == 40 and not cert.criteria_met
+        assert info["penalty_changes"] == 0
 
         ref = AdmmState(x=np.zeros(10), u=np.zeros(4), lam=np.zeros(4))
         for _ in range(40):
@@ -121,6 +146,24 @@ class TestSolve:
         np.testing.assert_array_equal(state.x, ref.x)
         np.testing.assert_array_equal(state.u, ref.u)
         np.testing.assert_array_equal(state.lam, ref.lam)
+
+    def test_trajectory_with_penalty_changes_matches_steps(self, monkeypatch):
+        # After a change the solve keeps the gradient q - p it rescaled,
+        # which equals the one admm_step recomputes only up to rounding.
+        sub = build_random_sub(4, 10, seed=4, eps_k=-1.0)
+        monkeypatch.setattr(admm_module, "_MAX_INNER", 200)
+        betas = self._record_penalties(monkeypatch)
+        cert, state, info = admm_solve(sub, None)
+        betas = betas[:]
+        assert info["penalty_changes"] == len(set(betas)) - 1 == 2
+        assert info["beta_scale"] == betas[-1] / betas[0] == 4.0
+
+        zero = AdmmState(x=np.zeros(10), u=np.zeros(4), lam=np.zeros(4))
+        ref = self._replay(sub, zero, betas)[-1]
+        for got, want in ((state.x, ref.x), (state.u, ref.u),
+                          (state.lam, ref.lam)):
+            np.testing.assert_allclose(got, want, rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max())
 
     def test_certificate_thresholds_enforced(self):
         sub = build_random_sub(5, 12, seed=2)
@@ -167,10 +210,9 @@ class TestSolve:
             assert calls.count("rmatvec") == N + 3
 
     @staticmethod
-    def _exact_surrogate(sub, prev, cur):
+    def _exact_surrogate(sub, prev, cur, beta):
         """||beta A_k^T (A_k dx - du) - prox dx|| between two states."""
         L_bar = sub.gram_bound()
-        beta = L_bar ** -0.5
         dAkx = sub.matvec(cur.x) - sub.matvec(prev.x)
         s = (beta * sub.rmatvec(dAkx - (cur.u - prev.u))
              - L_bar * beta * (cur.x - prev.x))
@@ -189,37 +231,45 @@ class TestSolve:
         cert0, warm, _ = admm_solve(sub0, None)
         return build_subproblem(inst, retract(sub0, cert0.x_tilde), 1), warm
 
-    def test_certificate_kkt_recomputed_exactly(self, desk_instance):
+    def test_certificate_kkt_recomputed_exactly(self, monkeypatch,
+                                                desk_instance):
         sub, warm = self._second_subproblem(desk_instance)
+        betas = self._record_penalties(monkeypatch)
         cert, state, info = admm_solve(sub, warm)
+        betas = betas[:]
         assert cert.criteria_met and warm.lam.any()
+        assert len(betas) == info["iterations"]
 
-        prev = ref = warm
-        for _ in range(info["iterations"]):
-            prev, ref = ref, admm_step(ref, sub)
+        *_, prev, ref = self._replay(sub, warm, betas)
         np.testing.assert_array_equal(ref.x, state.x)
-        want = self._exact_surrogate(sub, prev, ref)
+        want = self._exact_surrogate(sub, prev, ref, betas[-1])
         assert cert.kkt_residual == pytest.approx(want, rel=1e-12, abs=0.0)
         assert cert.kkt_residual <= sub.eps_k
 
     def test_lying_surrogate_does_not_certify(self, monkeypatch, desk_instance):
         # The carried surrogate claims 0 on every sweep, so every sweep whose
         # coupling passes becomes a candidate; only the exact check may accept.
+        # The lie also feeds the residual balancing, which doubles beta at the
+        # end of each window, so the replay follows the solve's penalties.
         sub, warm = self._second_subproblem(desk_instance)
         monkeypatch.setattr(admm_module, "_carried_kkt", lambda *args: 0.0)
+        betas = self._record_penalties(monkeypatch)
         cert, state, info = admm_solve(sub, warm)
+        betas = betas[:]
+        assert info["penalty_changes"] >= 1
+        assert betas[-1] == 2.0 ** info["penalty_changes"] * betas[0]
 
         # Replay: the first sweep that passes the exact tests is the answer.
         eps_k = sub.eps_k
-        ref = warm
+        states = self._replay(sub, warm, betas)
         rejected = []
         accepted_at = None
         for it in range(1, info["iterations"] + 1):
-            prev, ref = ref, admm_step(ref, sub)
+            prev, ref = states[it - 1], states[it]
             coupling = float(np.linalg.norm(sub.matvec(ref.x) - sub.b_w - ref.u))
             if coupling > eps_k:
                 continue
-            kkt = self._exact_surrogate(sub, prev, ref)
+            kkt = self._exact_surrogate(sub, prev, ref, betas[it - 1])
             descent = (np.abs(sub.w * retract(sub, ref.x)).sum()
                        <= sub.ref_objective + sub.mu_k)
             if kkt <= eps_k and descent:
@@ -282,6 +332,104 @@ class TestSolve:
             tied = cert.kkt_residual <= 5.0 * info["best_kkt"]
             assert near_end or tied
             x = retract(sub, cert.x_tilde)
+
+
+class TestPenalty:
+    """Residual balancing of the penalty beta inside one solve."""
+
+    @staticmethod
+    def _force_doubling(monkeypatch, every=None):
+        # A carried surrogate of 0 makes every window's coupling residual the
+        # larger by far, so each check doubles beta until the cap.
+        monkeypatch.setattr(admm_module, "_carried_kkt", lambda *args: 0.0)
+        if every is not None:
+            monkeypatch.setattr(admm_module, "_ADAPT_EVERY", every)
+
+    def test_changes_spend_no_product(self, monkeypatch):
+        calls = []
+        for name in ("matvec", "rmatvec"):
+            def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
+                calls.append(_name)
+                return _orig(self, z)
+            monkeypatch.setattr(SubproblemData, name, counted)
+        sub = build_random_sub(4, 10, seed=4, eps_k=-1.0)
+        N = 200
+        monkeypatch.setattr(admm_module, "_MAX_INNER", N)
+        _, _, info = admm_solve(sub, None)
+        assert info["penalty_changes"] >= 1
+        assert calls.count("matvec") == N + 1
+        assert calls.count("rmatvec") == N + 2
+
+    def test_rescaled_gradient_is_exact(self, monkeypatch):
+        # Record what each sweep starts from: (x, carried g, lam, beta), and
+        # the u the previous sweep produced.
+        sub = build_random_sub(5, 12, seed=4, eps_k=-1.0)
+        self._force_doubling(monkeypatch, every=5)
+        monkeypatch.setattr(admm_module, "_MAX_INNER", 30)
+        sweeps = []
+        advance = admm_module._advance
+
+        def spy(sub, x, g, lam, L_bar, beta, gamma):
+            out = advance(sub, x, g, lam, L_bar, beta, gamma)
+            sweeps.append((x.copy(), g.copy(), lam.copy(), beta, out[3].copy()))
+            return out
+        monkeypatch.setattr(admm_module, "_advance", spy)
+        _, _, info = admm_solve(sub, None)
+        assert info["penalty_changes"] == 5
+
+        checked = 0
+        for (_, _, _, beta_old, u), (x, g, lam, beta, _) in zip(sweeps, sweeps[1:]):
+            if beta == beta_old:
+                continue
+            assert beta == 2.0 * beta_old
+            want = admm_module._gradient(sub, sub.matvec(x), u, lam, beta)
+            np.testing.assert_allclose(g, want, rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max())
+            checked += 1
+        assert checked == 5
+
+    def test_changes_capped_per_solve(self, monkeypatch):
+        sub = build_random_sub(5, 12, seed=4, eps_k=-1.0)
+        self._force_doubling(monkeypatch)
+        cap = admm_module._ADAPT_MAX
+        monkeypatch.setattr(admm_module, "_MAX_INNER",
+                            (cap + 5) * admm_module._ADAPT_EVERY)
+        _, _, info = admm_solve(sub, None)
+        assert info["penalty_changes"] == cap
+        assert info["beta_scale"] == 2.0 ** cap
+
+    def test_each_solve_starts_at_default_penalty(self, monkeypatch):
+        # A warm start carries x, u and lam, never the adapted beta.
+        sub = build_random_sub(5, 12, seed=4, eps_k=-1.0)
+        self._force_doubling(monkeypatch)
+        monkeypatch.setattr(admm_module, "_MAX_INNER", 120)
+        betas = TestSolve._record_penalties(monkeypatch)
+        _, warm, info = admm_solve(sub, None)
+        first = betas[:]
+        assert info["penalty_changes"] == 2 and first[-1] == 4.0 * first[0]
+        betas.clear()
+        admm_solve(sub, warm)
+        assert betas[0] == first[0] == sub.gram_bound() ** -0.5
+
+    def test_desk_tukey_solve_within_budget(self):
+        # robust-cli's instance 4: the (54, 256, 8) harness draw at seed 4
+        # (matrix, support, values, Cauchy noise uniforms, in that order)
+        # under the Tukey biweight loss.  At a fixed beta it took 85,759
+        # sweeps; the coupling residual held it open.
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((54, 256))
+        support = rng.choice(256, size=8, replace=False)
+        values = rng.standard_normal(8)
+        noise = 0.01 * np.tan(np.pi * (rng.random(54) - 0.5))
+        x_true = np.zeros(256)
+        x_true[support] = values
+        loss = LossSpec(LossKind.TUKEY_BIWEIGHT, 0.05)
+        sigma = 1.2 * float(np.sum(loss.value(noise * noise)))
+        inst = ProblemInstance.build(A, A @ x_true + noise, sigma, loss,
+                                     PenaltySpec(0.1))
+        res = run_dir(inst, DirConfig(engine="admm"))
+        assert res.status is RunStatus.CONVERGED
+        assert sum(rec["inner_iterations"] for rec in res.history) <= 30_000
 
 
 class TestBallMultiplier:

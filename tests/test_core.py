@@ -546,7 +546,8 @@ class TestRunDir:
             assert 0.0 <= rest < delay
 
     @pytest.mark.parametrize("engine, keys", [
-        ("admm", {"best_kkt", "best_kkt_iter", "exact_checks"}),
+        ("admm", {"best_kkt", "best_kkt_iter", "exact_checks",
+                  "penalty_changes", "beta_scale"}),
         ("spg", {"newton_steps", "escalations", "root_gap",
                  "lasso_unconverged", "face_steps", "face_s"}),
     ])
