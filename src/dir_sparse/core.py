@@ -330,12 +330,15 @@ def stationarity_report(instance: ProblemInstance, x: np.ndarray,
 
     The dual residual is the distance from 0 to
     psi'_+(|x|) o d|x| + lam * grad(constraint) (:func:`l1_kkt_distance`).
+    The constraint and its gradient -2 A^T (phi'_+(y^2) o y) are read from
+    one residual y = b - A x, so the report spends two products with A.
     """
     if lam < 0:
         raise ValueError("multiplier must be nonnegative")
     x = np.asarray(x, dtype=float)
-    primal = instance.constraint(x) - instance.sigma
-    q = lam * instance.constraint_gradient(x)
+    y = instance.b - instance.A @ x
+    primal = _constraint_at(instance, y) - instance.sigma
+    q = lam * (-2.0 * (instance.A.T @ (instance.loss.dplus(y * y) * y)))
     wvals = instance.penalty.dplus(np.abs(x))
     return StationarityReport(lam=float(lam),
                               primal_feasibility=float(primal),
@@ -353,7 +356,7 @@ def run_dir(instance: ProblemInstance,
     retracted point ``x_next``; no product with A_k is spent here.  The
     residual b - A x at each outer point is formed once: it serves that
     point's constraint test and the next subproblem, so a run of K outer
-    iterations spends K + 4 products with the raw A, three of them in the
+    iterations spends K + 3 products with the raw A, two of them in the
     final :func:`stationarity_report`.  Each history record's
     ``elapsed_seconds`` is the sum of its ``build_s`` (the
     :func:`build_subproblem` call), ``engine_s`` (the engine's solve) and

@@ -82,7 +82,7 @@ def load_matrix(path) -> np.ndarray:
 
 def load_vector(path) -> np.ndarray:
     arr = load_array(path)
-    if 1 not in arr.shape and arr.ndim == 2 and min(arr.shape) != 1:
+    if 1 not in arr.shape:
         raise ValueError(f"{path}: expected a vector, got shape {arr.shape}")
     return arr.ravel()
 

@@ -32,9 +32,10 @@ failure when that escalation is exhausted; "blackbox" never tightens, and
 records, but never enforces, the certificate bounds.
 """
 
+import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +73,6 @@ class SpgState:
 
     tau: float
     x_lasso: np.ndarray
-    history: list = field(default_factory=list)  # (tau, phi, slope) triples
 
 
 def _projection_multiplier(y, x_proj, w):
@@ -130,7 +130,7 @@ def _tally(stats: dict | None, key: str, amount) -> None:
 
 
 def spg_lasso(sub: SubproblemData, tau: float, start=None,
-              tol: float | None = None, stats: dict | None = None,
+              tol: float = _LASSO_TOL, stats: dict | None = None,
               _target: tuple[float, float] | None = None):
     """Approximately minimize 0.5 ||A_k x - b_w||^2 over ||w o x||_1 <= tau.
 
@@ -165,20 +165,21 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     of the m x (|S| + 1) matrix [A_k[:, S], b_w] and three triangular
     solves, none of them a product with A_k.
 
-    Stops when the relative step or the relative duality gap reaches
-    ``tol`` (default ``_LASSO_TOL``) and the next direction d gives
+    Stops as soon as the next direction d gives
     ||d|| max(1, 1/alpha) <= 10 tol max(||x||, 1).  Since ||P(x - t g) - x||
     grows with t and shrinks divided by t (Calamai & More 1987), that value
-    bounds the unit-step fixed-point residual ||P(x - g) - x||.
+    bounds the unit-step fixed-point residual ||P(x - g) - x||, so the stop
+    holds that residual within 10 tol whatever the step size alpha.
 
     ``_target = (sigma_bar, root_tol)``, passed by :func:`pareto_newton`,
     adds SPGL1's inexact-Newton stop.  After each iteration, with
-    phi = ||r|| and the duality gap ``gap``, phi(tau) lies in [phi_lo, phi],
-    phi_lo = sqrt(max(phi^2 - 2 gap, 0)); the solve ends once
-    phi - phi_lo <= _PARETO_STOP (|phi - sigma_bar| - root_tol).  As
-    _PARETO_STOP < 1, sigma_bar then lies outside [phi_lo, phi], so the side
-    of the root is certain, and |phi - sigma_bar| > root_tol.  Without a
-    target the solve is exactly the plain one.
+    phi = ||r|| and the duality gap gap = tau ||g / w||_inf + x . g,
+    phi(tau) lies in [phi_lo, phi], phi_lo = sqrt(max(phi^2 - 2 gap, 0));
+    the solve ends once phi - phi_lo <= _PARETO_STOP (|phi - sigma_bar| -
+    root_tol).  As _PARETO_STOP < 1, sigma_bar then lies outside
+    [phi_lo, phi], so the side of the root is certain, and
+    |phi - sigma_bar| > root_tol.  The gap is formed only for this test;
+    without a target the solve is exactly the plain one.
 
     When ``stats`` is a dict, these entries are incremented, counting from
     0 when absent: ``"face_steps"`` (face directions taken),
@@ -197,7 +198,6 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     there, whatever the step size of the last move (whose projection may
     have been inactive).
     """
-    tol = _LASSO_TOL if tol is None else tol
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     w = sub.w
@@ -253,20 +253,9 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             f_new = 0.5 * float(r_new @ r_new)
             if f_new <= f_ref + _ARMIJO_CONST * s * gd + slack:
                 break
-        x_new = x + s * d
+        dx = s * d
         g_new = -sub.rmatvec(r_new)
         idle += 1
-
-        dx = s * d
-        dual_norm = float(np.abs(g_new / w).max())
-        gap = tau * dual_norm + float(x_new @ g_new)
-        rel_gap = abs(gap) / max(1.0, f_new)
-        # Cancellation noise floor of the gap computation; below it the gap
-        # test says nothing about the iterate and only the step test counts.
-        gap_noise = 100.0 * np.finfo(float).eps \
-            * (tau * dual_norm + float(np.abs(x_new * g_new).sum())) \
-            / max(1.0, f_new)
-        rel_step = float(np.linalg.norm(dx)) / max(float(np.linalg.norm(x)), 1.0)
 
         # BB step from the accepted move.
         sy = float(dx @ (g_new - g))
@@ -274,12 +263,13 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             alpha = min(_ALPHA_MAX, max(_ALPHA_MIN, float(dx @ dx) / sy))
         else:
             alpha = _ALPHA_MAX
-        x, r, g = x_new, r_new, g_new
+        x, r, g = x + dx, r_new, g_new
         recent.append(f_new)
         if _target is not None:
             # phi(tau) lies in [phi_lo, phi]; with _PARETO_STOP < 1 a narrow
             # enough interval lies wholly on one side of sigma_bar.
             sigma_bar, root_tol = _target
+            gap = tau * float(np.abs(g / w).max()) + float(x @ g)
             phi = np.sqrt(2.0 * f_new)
             phi_lo = np.sqrt(max(2.0 * (f_new - gap), 0.0))
             if phi - phi_lo <= _PARETO_STOP * (abs(phi - sigma_bar) - root_tol):
@@ -291,8 +281,7 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
         # A tiny BB step alone does not certify optimality (alpha may just
         # be small); the next direction bounds the unit-step fixed-point
         # residual, which must stay within 10 * tol.
-        if (rel_step <= tol or (rel_gap <= tol and tol >= gap_noise)) \
-                and float(np.linalg.norm(d)) * max(1.0, 1.0 / alpha) \
+        if float(np.linalg.norm(d)) * max(1.0, 1.0 / alpha) \
                 <= 10.0 * tol * max(float(np.linalg.norm(x)), 1.0):
             converged = True
             break
@@ -343,7 +332,8 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     (see :func:`spg_lasso`), so only a solve near the root runs to the
     LASSO tolerance.  A solve ended that way stays outside root_tol, so
     the bracket [tau_lo, tau_hi] keeps the root and no certificate is
-    built from it; an escalation's re-solve gets no target.
+    built from it.  An escalation re-solves in place with the target at
+    the tightened root_tol.
 
     Returns ``(certificate, state, info)``.  In certified mode the
     certificate bounds are enforced by tightening the LASSO tolerance up
@@ -376,9 +366,8 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     phi = b_norm
     slope = -float(np.abs(g / sub.w).max()) / phi
     lasso_multiplier = 0.0
-    history = [(tau, phi, slope)]
     tau_lo = 0.0            # phi(tau_lo) > sigma_bar
-    tau_hi = None           # phi(tau_hi) < sigma_bar once observed
+    tau_hi = math.inf       # phi(tau_hi) < sigma_bar once observed
     total_inner = 0
     escalations = 0
     newton_steps = 0
@@ -396,18 +385,16 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
             escalations += 1
             root_tol = max(0.1 * root_tol, mach_slack)
             tau_next = tau     # re-evaluate in place at the tighter tolerance
-            target = None      # ... and run that solve to the tolerance test
         else:
             if phi > sigma_bar:
                 tau_lo = max(tau_lo, tau)
             else:
-                tau_hi = tau if tau_hi is None else min(tau_hi, tau)
-            tau_next = tau + (sigma_bar - phi) / slope if slope < 0.0 else None
-            if (tau_next is None or tau_next <= tau_lo
-                    or (tau_hi is not None and tau_next >= tau_hi)):
-                tau_next = (0.5 * (tau_lo + tau_hi) if tau_hi is not None
+                tau_hi = min(tau_hi, tau)
+            tau_next = (tau + (sigma_bar - phi) / slope if slope < 0.0
+                        else math.nan)              # NaN fails the test below
+            if not tau_lo < tau_next < tau_hi:
+                tau_next = (0.5 * (tau_lo + tau_hi) if tau_hi < math.inf
                             else max(2.0 * tau, 1.0))
-            target = (sigma_bar, root_tol)
 
         start = ((warm.x_lasso, None, None) if tau == 0.0 and warm is not None
                  else (x, r, g))
@@ -415,18 +402,17 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
         # seventh escalation 3 ulps above 1e-13.
         x, lasso_multiplier, iters, converged, r, g = spg_lasso(
             sub, tau_next, start, tol=_LASSO_TOL / 10 ** escalations,
-            stats=stats, _target=target)
+            stats=stats, _target=(sigma_bar, root_tol))
         total_inner += iters
         lasso_unconverged += not converged
         newton_steps += 1
         phi = float(np.linalg.norm(r))
         slope = -float(np.abs(g / sub.w).max()) / phi if phi > 0.0 else 0.0
         tau = tau_next
-        history.append((tau, phi, slope))
     if cert is None or cert.x_tilde is not x:
         cert = _certificate(sub, x, r, g, lasso_multiplier)
 
-    state = SpgState(tau=tau, x_lasso=x, history=history)
+    state = SpgState(tau=tau, x_lasso=x)
     info = {"iterations": total_inner, "newton_steps": newton_steps,
             "escalations": escalations, "root_gap": abs(phi - sigma_bar),
             "lasso_unconverged": lasso_unconverged, **stats}

@@ -479,9 +479,10 @@ class TestRunDir:
     @pytest.mark.parametrize("engine", ["admm", "spg"])
     def test_raw_products_per_run(self, desk_instance, engine):
         # One residual b - A x per outer point serves both its constraint
-        # test and the next subproblem: K + 4 products with the raw A in a
-        # run of K outer iterations, three of them in the stationarity
-        # report.  The operator passes of the engine are counted apart.
+        # test and the next subproblem: K + 3 products with the raw A in a
+        # run of K outer iterations, two of them in the stationarity report
+        # (one residual, one gradient).  The operator passes of the engine
+        # are counted apart.
         inst, _ = desk_instance
         products = []
 
@@ -494,7 +495,7 @@ class TestRunDir:
                       DirConfig(engine=engine))
         assert res.status is RunStatus.CONVERGED
         passes = sum(h["matvec_calls"] + h["rmatvec_calls"] for h in res.history)
-        assert len(products) - passes == len(res.history) + 4
+        assert len(products) - passes == len(res.history) + 3
         plain = run_dir(inst, DirConfig(engine=engine))
         np.testing.assert_array_equal(res.x_final, plain.x_final)
 

@@ -135,6 +135,17 @@ class TestSpgLasso:
             fp = x - project_weighted_l1_ball(x - g, sub.w, tau)
             assert np.linalg.norm(fp) <= 10 * tol * max(np.linalg.norm(x), 1.0)
 
+    def test_fixed_point_bound_is_the_only_stop(self, desk_instance):
+        # At a tight tol the desk solve meets the fixed-point bound at
+        # iteration 221; no step or gap test may hold the stop back.
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        tau, tol = 0.3 * sub.ref_objective, 1e-11
+        x, _, iters, conv, _, g = spg_lasso(sub, tau, None, tol=tol)
+        assert conv and iters <= 221
+        fp = x - project_weighted_l1_ball(x - g, sub.w, tau)
+        assert np.linalg.norm(fp) <= 10 * tol * max(np.linalg.norm(x), 1.0)
+
     def test_iterate_feasible(self):
         sub = random_sub(5, 12, seed=6)
         tau = 0.5
@@ -276,11 +287,24 @@ class TestParetoNewton:
         rho = float(np.linalg.norm(sub.matvec(cert.x_tilde) - sub.b_w))
         assert abs(rho - sub.sigma_bar) <= 1e-4 * sub.sigma_bar
 
-    def test_curve_monotone_and_bracketing(self, desk_instance):
+    def test_curve_monotone_and_bracketing(self, monkeypatch, desk_instance):
+        # (tau, phi, slope) at tau = 0 and after every LASSO solve, read off
+        # the exact (r, g) each solve returns.
         inst, _ = desk_instance
         sub = build_subproblem(inst, inst.least_norm, 0)
-        cert, state, info = pareto_newton(sub, None, "certified")
-        hist = state.history
+        g0 = -sub.rmatvec(sub.b_w)
+        phi0 = float(np.linalg.norm(sub.b_w))
+        hist = [(0.0, phi0, -float(np.abs(g0 / sub.w).max()) / phi0)]
+
+        def lasso(sub, tau, *args, _orig=spg_module.spg_lasso, **kwargs):
+            out = _orig(sub, tau, *args, **kwargs)
+            phi = float(np.linalg.norm(out[4]))
+            hist.append((tau, phi, -float(np.abs(out[5] / sub.w).max()) / phi))
+            return out
+
+        monkeypatch.setattr(spg_module, "spg_lasso", lasso)
+        pareto_newton(sub, None, "certified")
+        assert len(hist) > 1
         taus = [h[0] for h in hist]
         phis = [h[1] for h in hist]
         slopes = [h[2] for h in hist]
@@ -524,8 +548,6 @@ class TestInexactNewton:
             tau_ref = reference_root(sub)
             tau_lo, tau_hi = 0.0, np.inf
             for tau, target, _, r, stopped in solves:
-                if target is None:
-                    continue
                 sigma_bar, root_tol = target
                 phi = float(np.linalg.norm(r))
                 if phi > sigma_bar + root_tol:
