@@ -74,10 +74,7 @@ class ProblemInstance:
                    gram_lmax=lambda_max_gram(R))
 
     def constraint(self, x) -> float:
-        return constraint_value(self.loss, self.A, self.b, x)
-
-    def constraint_gradient(self, x) -> np.ndarray:
-        return constraint_grad(self.loss, self.A, self.b, x)
+        return constraint_value(self.loss, self.b - self.A @ x)
 
     def objective(self, x) -> float:
         """Separable concave sparsity objective sum_i psi(|x_i|)."""
@@ -182,8 +179,8 @@ class InexactCertificate:
     criteria_met: bool = field(init=False)
 
     def __post_init__(self, sub, residual):
-        self.x_next, self.subproblem_residual = _retract(
-            sub, self.x_tilde, residual)
+        self.x_next = retract(sub, self.x_tilde, residual)
+        self.subproblem_residual = float(np.linalg.norm(residual))
         self.descent_ok = bool(np.abs(sub.w * self.x_next).sum()
                                <= sub.ref_objective + sub.mu_k)
         self.criteria_met = bool(self.kkt_residual <= sub.eps_k
@@ -273,7 +270,7 @@ def build_subproblem(instance: ProblemInstance, x_k: np.ndarray,
     """
     if y is None:
         y = instance.b - instance.A @ x_k
-    cval = _constraint_at(instance, y)
+    cval = constraint_value(instance.loss, y)
     # "not <=" also rejects a NaN anchor.
     if not cval <= instance.sigma + FEASIBILITY_SLACK:
         raise ValueError(
@@ -299,29 +296,28 @@ def build_subproblem(instance: ProblemInstance, x_k: np.ndarray,
                           eps_k=float(eps_k), mu_k=float(mu_k), tau_k=float(tau_k))
 
 
-def _constraint_at(instance: ProblemInstance, y: np.ndarray) -> float:
-    """Constraint value sum_i phi(y_i^2) from the residual y = b - A x."""
-    return float(np.sum(instance.loss.value(y * y)))
-
-
-def retract(sub: SubproblemData, x: np.ndarray) -> np.ndarray:
+def retract(sub: SubproblemData, x: np.ndarray,
+            residual: Optional[np.ndarray] = None) -> np.ndarray:
     """Pull x into the subproblem ball by blending with the least-norm point.
+
+    ``residual`` is A_k x - b_w when the caller already holds it; it is
+    formed here, at one ``matvec``, when it is not given.
 
     Returns x unchanged when ||A_k x - b_w||^2 <= sigma_k; otherwise the
     convex combination (1 - t) * least_norm + t * x with
-    t = sqrt(sigma_k) / ||A_k x - b_w||, which lands exactly on the ball
-    boundary and is feasible for the original constraint as well.
+    t = sqrt(sigma_k) / ||A_k x - b_w||.  That lands on the ball boundary
+    up to rounding at the scale of ||b_w||, not of the radius: when the ball
+    is small against ||b_w||, the squared residual can overshoot sigma_k by
+    up to about 1.5e-11 relative, which ``FEASIBILITY_SLACK`` absorbs in
+    :func:`run_dir`.
     """
-    return _retract(sub, x, sub.matvec(x) - sub.b_w)[0]
-
-
-def _retract(sub: SubproblemData, x: np.ndarray, residual: np.ndarray):
-    """:func:`retract` given residual = A_k x - b_w; also returns its norm."""
+    if residual is None:
+        residual = sub.matvec(x) - sub.b_w
     nrm = float(np.linalg.norm(residual))
     if nrm * nrm <= sub.sigma_k:
-        return x, nrm
+        return x
     t = sub.sigma_bar / nrm
-    return (1.0 - t) * sub.instance.least_norm + t * x, nrm
+    return (1.0 - t) * sub.instance.least_norm + t * x
 
 
 def stationarity_report(instance: ProblemInstance, x: np.ndarray,
@@ -330,15 +326,16 @@ def stationarity_report(instance: ProblemInstance, x: np.ndarray,
 
     The dual residual is the distance from 0 to
     psi'_+(|x|) o d|x| + lam * grad(constraint) (:func:`l1_kkt_distance`).
-    The constraint and its gradient -2 A^T (phi'_+(y^2) o y) are read from
-    one residual y = b - A x, so the report spends two products with A.
+    :func:`constraint_value` and :func:`constraint_grad` read the
+    constraint and its gradient off one residual y = b - A x, so the report
+    spends two products with A.
     """
     if lam < 0:
         raise ValueError("multiplier must be nonnegative")
     x = np.asarray(x, dtype=float)
     y = instance.b - instance.A @ x
-    primal = _constraint_at(instance, y) - instance.sigma
-    q = lam * (-2.0 * (instance.A.T @ (instance.loss.dplus(y * y) * y)))
+    primal = constraint_value(instance.loss, y) - instance.sigma
+    q = lam * constraint_grad(instance.loss, instance.A, y)
     wvals = instance.penalty.dplus(np.abs(x))
     return StationarityReport(lam=float(lam),
                               primal_feasibility=float(primal),
@@ -384,7 +381,7 @@ def run_dir(instance: ProblemInstance,
     last_mult = 0.0
     psi_curr = instance.objective(x)
     y = instance.b - instance.A @ x
-    constraint_curr = _constraint_at(instance, y)
+    constraint_curr = constraint_value(instance.loss, y)
     error = None
 
     for k in range(config.max_outer):
@@ -400,7 +397,7 @@ def run_dir(instance: ProblemInstance,
         solved = time.perf_counter()
         x_next = cert.x_next
         y_next = instance.b - instance.A @ x_next
-        constraint_next = _constraint_at(instance, y_next)
+        constraint_next = constraint_value(instance.loss, y_next)
         # Plain code so that python -O keeps it; "not <=" also catches NaN.
         if not constraint_next <= instance.sigma + FEASIBILITY_SLACK:
             status = RunStatus.CERTIFICATE_VIOLATION

@@ -124,20 +124,18 @@ class PenaltySpec:
         return _like_input(1.0 / (self.epsilon + arr), t)
 
 
-def constraint_value(loss: LossSpec, A: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
-    """Sum of phi over squared residuals: sum_i phi((b_i - a_i.x)^2)."""
-    r = b - A @ x
-    return float(np.sum(loss.value(r * r)))
+def constraint_value(loss: LossSpec, y: np.ndarray) -> float:
+    """Constraint value sum_i phi(y_i^2) at the residual y = b - A x."""
+    return float(np.sum(loss.value(y * y)))
 
 
-def constraint_grad(loss: LossSpec, A: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of x -> sum_i phi((b_i - a_i.x)^2).
+def constraint_grad(loss: LossSpec, A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of x -> sum_i phi((b_i - a_i.x)^2) at the residual y = b - A x.
 
-    Equals -2 * sum_i phi'_+(r_i^2) r_i a_i with r = b - A x; smooth
+    Equals -2 A^T (phi'_+(y^2) o y), one product with A.T; smooth
     everywhere because phi'_+ is continuous and the inner map is quadratic.
     """
-    r = b - A @ x
-    return -2.0 * (A.T @ (loss.dplus(r * r) * r))
+    return -2.0 * (A.T @ (loss.dplus(y * y) * y))
 
 
 @dataclass(frozen=True)

@@ -341,14 +341,14 @@ def test_criterion_9_gradient_check():
             if np.any(np.abs(np.abs(r) - loss.delta) < 1e-3):
                 continue   # keep clear of the Huber/Tukey kinks
             checked += 1
-            g = constraint_grad(loss, A, b, x)
+            g = constraint_grad(loss, A, r)
             fd = np.empty(10)
             for i in range(10):
                 h = 1e-6 * (1.0 + abs(x[i]))
                 e = np.zeros(10)
                 e[i] = h
-                fd[i] = (constraint_value(loss, A, b, x + e)
-                         - constraint_value(loss, A, b, x - e)) / (2 * h)
+                fd[i] = (constraint_value(loss, b - A @ (x + e))
+                         - constraint_value(loss, b - A @ (x - e))) / (2 * h)
             rel = float(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1.0))
             worst = max(worst, rel)
     _verdict(9, worst <= 1e-5,

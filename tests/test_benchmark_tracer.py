@@ -56,3 +56,12 @@ def test_traced_desk_solves(workloads, desk_instance):
     # Every product is spent inside an engine.
     assert ctx[("engine", None, "core.matvec")] == 0
     assert ctx[("engine", None, "core.rmatvec")] == 0
+
+    # core reads the constraint and its gradient through the losses
+    # functions, and each certificate retracts through core.retract: one
+    # constraint test per subproblem and per retracted point, one at the
+    # start and one in each stationarity report.
+    outer = [len(res.history) for res in results.values()]
+    assert calls["losses.constraint_value"] == sum(2 * k + 2 for k in outer)
+    assert calls["losses.constraint_grad"] == len(ENGINES)
+    assert calls["core.retract"] >= sum(outer)

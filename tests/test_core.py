@@ -15,8 +15,8 @@ from hypothesis.extra import numpy as hnp
 import dir_sparse
 from dir_sparse import (DirConfig, InexactCertificate, InstanceSpec, LossKind,
                         LossSpec, PenaltySpec, RunStatus, build_subproblem,
-                        generate_instance, register_engine, retract, run_dir,
-                        stationarity_report)
+                        constraint_grad, generate_instance, register_engine,
+                        retract, run_dir, stationarity_report)
 from dir_sparse.core import FEASIBILITY_SLACK, ProblemInstance, SubproblemData
 from dir_sparse.harness import _problem_data
 
@@ -193,6 +193,21 @@ class TestRetract:
         if float(np.linalg.norm(sub.matvec(x) - sub.b_w)) ** 2 <= sub.sigma_k:
             assert retract(sub, x) is x
 
+    @pytest.mark.parametrize("offset", [0.0, 50.0])
+    def test_given_residual_spends_no_product(self, offset):
+        # The least-norm point lies inside the ball, 50 * ones outside it.
+        inst = make_instance(4, 10, seed=8)
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        x = inst.least_norm + offset
+        residual = sub.matvec(x) - sub.b_w
+        assert (float(np.linalg.norm(residual)) ** 2 <= sub.sigma_k) \
+            == (offset == 0.0)
+        calls = sub.matvec_calls
+        got = retract(sub, x, residual)
+        assert sub.matvec_calls == calls
+        np.testing.assert_array_equal(got, retract(sub, x))
+        assert sub.matvec_calls == calls + 1
+
     def test_halfway_blend(self):
         inst = one_dim_instance()
         sub = build_subproblem(inst, np.array([1.0]), 0)
@@ -319,7 +334,7 @@ class TestStationarityReport:
         inst = one_dim_instance(b=2.0, sigma=1.0)
         lam = 0.7
         x = np.array([0.5])
-        g = -lam * inst.constraint_gradient(x)
+        g = -lam * constraint_grad(inst.loss, inst.A, inst.b - inst.A @ x)
         expected = abs(g[0] - inst.penalty.dplus(0.5) * 1.0)
         rep = stationarity_report(inst, x, lam)
         assert rep.dual_residual == pytest.approx(expected, rel=1e-14)
@@ -529,13 +544,13 @@ class TestRunDir:
         # least one, and what is left of elapsed_seconds (building the
         # record) holds none.
         delay = 0.05
-        constraint_at = dir_sparse.core._constraint_at
+        constraint_value = dir_sparse.core.constraint_value
 
-        def slow(instance, y):
+        def slow(loss, y):
             time.sleep(delay)
-            return constraint_at(instance, y)
+            return constraint_value(loss, y)
 
-        monkeypatch.setattr(dir_sparse.core, "_constraint_at", slow)
+        monkeypatch.setattr(dir_sparse.core, "constraint_value", slow)
         inst, _ = desk_instance
         res = run_dir(inst, DirConfig(engine=engine, max_outer=3, outer_tol=0.0))
         assert len(res.history) == 3

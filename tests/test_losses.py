@@ -150,8 +150,9 @@ class TestConstraintFunction:
         x = np.array([1.0, -1.0])
         b = A @ x
         loss = LossSpec(LossKind.CAUCHY, 1.0)
-        assert constraint_value(loss, A, b, x) == 0.0
-        np.testing.assert_allclose(constraint_grad(loss, A, b, x), 0.0)
+        y = b - A @ x
+        assert constraint_value(loss, y) == 0.0
+        np.testing.assert_allclose(constraint_grad(loss, A, y), 0.0)
 
     def test_hand_computed_1d(self):
         # Cauchy delta=1, A=[1], b=[1], x=[0]: value log 2, gradient -1
@@ -160,10 +161,10 @@ class TestConstraintFunction:
         loss = LossSpec(LossKind.CAUCHY, 1.0)
         A = np.array([[1.0]])
         b = np.array([1.0])
-        x = np.array([0.0])
-        assert constraint_value(loss, A, b, x) == pytest.approx(
+        y = b - A @ np.array([0.0])
+        assert constraint_value(loss, y) == pytest.approx(
             0.6931471805599453, abs=1e-15)
-        np.testing.assert_allclose(constraint_grad(loss, A, b, x), [-1.0],
+        np.testing.assert_allclose(constraint_grad(loss, A, y), [-1.0],
                                    rtol=1e-14)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -178,20 +179,20 @@ class TestConstraintFunction:
             # keep away from the Huber/Tukey kink at |r| = delta
             if np.any(np.abs(np.abs(r) - loss.delta) < 1e-3):
                 continue
-            g = constraint_grad(loss, A, b, x)
+            g = constraint_grad(loss, A, r)
             fd = np.empty(5)
             for i in range(5):
                 h = 1e-6 * (1.0 + abs(x[i]))
                 e = np.zeros(5)
                 e[i] = h
-                fd[i] = (constraint_value(loss, A, b, x + e)
-                         - constraint_value(loss, A, b, x - e)) / (2 * h)
+                fd[i] = (constraint_value(loss, b - A @ (x + e))
+                         - constraint_value(loss, b - A @ (x - e))) / (2 * h)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
     def test_dimension_mismatch(self):
         loss = LossSpec(LossKind.CAUCHY, 1.0)
         with pytest.raises(ValueError):
-            constraint_value(loss, np.eye(2), np.ones(3), np.ones(2))
+            constraint_grad(loss, np.eye(2), np.ones(3))
 
 
 def _validate(A, b, sigma, loss):
