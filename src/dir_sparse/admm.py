@@ -6,6 +6,12 @@ a proximal-linearized step (soft thresholding), the u update a Euclidean
 ball projection, and the multiplier update a scaled residual step.  All
 products with the scaled matrix are applied implicitly.
 
+A warm solve first tries the closed-form answer on the face of the
+previous answer (:func:`~dir_sparse.core.face_solve`), at one QR and one
+product pair per round, usually one round.  When that answer meets the
+certificate no sweep is run; otherwise the sweeps start from the warm
+state.
+
 A sweep of :func:`admm_solve` costs two products with A_k, one ``matvec``
 and one ``rmatvec``.  The optimality surrogate is carried by recurrence
 from the gradients the sweeps compute anyway (linearized ADMM for BPDN,
@@ -29,7 +35,8 @@ import math
 
 import numpy as np
 
-from .core import InexactCertificate, SubproblemData, register_engine
+from .core import InexactCertificate, SubproblemData, face_solve, \
+    register_engine
 # The benchmark's tracer wraps dir_sparse.admm.retract by that name, so it
 # stays importable here although the certificate retracts in core.
 from .core import retract  # noqa: F401
@@ -157,17 +164,35 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     solve.  q does not depend on beta, and p and g = q - p are rescaled in
     place, so a change spends no product.
 
+    A warm solve first calls :func:`~dir_sparse.core.face_solve` on the
+    face of ``warm.x``.  When it returns a certificate, that is the answer,
+    with no sweep, and the state is x = z, u = u_tilde and the face's exact
+    multiplier lam = -u_tilde / t (A_k^T lam = w o sign(z) on the support).
+
     Returns ``(certificate, state, info)`` where ``info`` carries the
-    iteration count, the trajectory minimum of the optimality surrogate,
-    the number of exact checks, the number of penalty changes and the final
-    ``beta_scale`` = beta * Lbar**0.5.  After ``_MAX_INNER`` sweeps the
-    certificate of the last iterate is returned, whether it passes or not.
+    iteration count, the trajectory minimum of the optimality surrogate
+    and its sweep, the number of exact checks, the number of penalty
+    changes, the final ``beta_scale`` = beta * Lbar**0.5, and the face
+    try's ``face_accepted``, ``face_checks`` and ``face_s``; on a face
+    answer every entry but those three is 0.  After ``_MAX_INNER`` sweeps
+    the certificate of the last iterate is returned, whether it passes or
+    not.
     """
     n = sub.w.shape[0]
     m = sub.b_w.shape[0]
+    face = {"face_accepted": 0, "face_checks": 0, "face_s": 0.0}
     if warm is None:
         x, u, lam = np.zeros(n), np.zeros(m), np.zeros(m)
     else:
+        cert = face_solve(sub, warm.x, face)
+        if cert is not None:
+            # The face's exact multiplier: A_k^T lam = w o sign(x) on S.
+            u = cert.u_tilde
+            state = AdmmState(x=cert.x_tilde, u=u, lam=-cert.multiplier * u)
+            info = {"iterations": 0, "best_kkt": 0.0, "best_kkt_iter": 0,
+                    "exact_checks": 0, "penalty_changes": 0,
+                    "beta_scale": 0.0, **face}
+            return cert, state, info
         x, u, lam = warm.x.copy(), warm.u.copy(), warm.lam.copy()
 
     L_bar, beta0 = _scaling(sub)
@@ -229,7 +254,8 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
 
     info = {"iterations": it, "best_kkt": best_kkt,
             "best_kkt_iter": best_kkt_iter, "exact_checks": exact_checks,
-            "penalty_changes": changes, "beta_scale": beta / beta0}
+            "penalty_changes": changes, "beta_scale": beta / beta0,
+            **face}
     return cert, AdmmState(x=x, u=u, lam=lam), info
 
 

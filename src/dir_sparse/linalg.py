@@ -114,7 +114,8 @@ def project_weighted_l1_ball(y: np.ndarray, w: np.ndarray, tau: float) -> np.nda
     scanning the cumulative sums, so the result is exact up to rounding.
 
     Returns y itself (a copy) when already feasible and the zero vector when
-    tau = 0.
+    tau = 0.  A result whose computed weighted norm exceeds tau is scaled
+    by tau over that norm, so that it lies within a few roundings of tau.
     """
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -146,4 +147,9 @@ def project_weighted_l1_ball(y: np.ndarray, w: np.ndarray, tau: float) -> np.nda
         return y.copy()
     j = int(np.argmax(valid))
     theta = float(theta_cand[j])
-    return np.sign(y) * np.maximum(a - theta * w, 0.0)
+    x = np.sign(y) * np.maximum(a - theta * w, 0.0)
+    # With tau far below ||w o y||_1 the shrinkage |y| - theta w cancels and
+    # x can land up to about 1e-8 relative outside the ball; scaling onto
+    # the sphere puts it back within rounding of tau.
+    norm = float(w @ np.abs(x))
+    return x * (tau / norm) if norm > tau else x

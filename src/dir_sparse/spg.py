@@ -25,6 +25,12 @@ settles the side of the root without settling phi(tau) itself.  Such a
 solve never lands within the root tolerance, so no certificate is read
 from it.
 
+A warm solve first tries the closed-form answer on the face of the
+previous answer (:func:`~dir_sparse.core.face_solve`), at one QR and one
+product pair per round, usually one round.  When that answer meets the
+certificate, in either mode, it is returned with no Newton step and no
+LASSO iteration; otherwise the Newton steps run as above.
+
 Both modes run the LASSO solves at one tolerance, ``_LASSO_TOL``.
 "certified" tightens it tenfold only when the subproblem certificate fails
 its inexactness bounds at the root, down to 1e-13, and honestly reports
@@ -39,11 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InexactCertificate, SubproblemData, register_engine
+from .core import InexactCertificate, SubproblemData, _tally, \
+    face_least_squares, face_solve, register_engine
 # The benchmark's tracer wraps dir_sparse.spg.retract by that name, so it
 # stays importable here although the certificate retracts in core.
 from .core import retract  # noqa: F401
-from .linalg import l1_kkt_distance, project_weighted_l1_ball, solve_upper
+from .linalg import l1_kkt_distance, project_weighted_l1_ball
 
 _TINY = np.finfo(float).tiny
 # Barzilai-Borwein step bounds, Armijo constant, nonmonotone memory and
@@ -87,27 +94,18 @@ def _face_minimizer(sub: SubproblemData, support, signs, tau: float):
     """Minimizer z of 0.5 ||A_k z - b_w||^2 on the face of the l1 ball.
 
     The face is {supp(z) in support, sign(z) = signs, c . z = tau} with
-    c = w[support] o signs.  One QR of [A_k[:, support], b_w], m x (|S| + 1),
-    gives R and Q^T b_w; then z = z_ls - mu h with z_ls = R^-1 Q^T b_w,
-    h = R^-1 R^-T c and mu = (c . z_ls - tau) / (c . h).  Returns z on the
-    support, or None when |S| >= m or mu < 0 (the ball is not binding on the
-    face).  Entries of z whose sign differs from ``signs`` are set to 0 (the
-    projection onto the face's orthant), which raises c . z, and z is then
-    scaled down by tau / (c . z), so that it keeps ``signs`` or is 0 on each
-    entry and lies in the ball.
+    c = w[support] o signs.  From :func:`face_least_squares`,
+    z = z_ls - mu h with mu = (c . z_ls - tau) / (c . h).  Returns z on the
+    support, or None when |S| = 0, |S| >= m or mu < 0 (the ball is not
+    binding on the face).  Entries of z whose sign differs from ``signs``
+    are set to 0 (the projection onto the face's orthant), which raises
+    c . z, and z is then scaled down by tau / (c . z), so that it keeps
+    ``signs`` or is 0 on each entry and lies in the ball.
     """
-    m = sub.b_w.shape[0]
-    k = support.size
-    if k == 0 or k >= m:
+    face = face_least_squares(sub, support, signs)
+    if face is None:
         return None
-    M = np.empty((m, k + 1), order="F")
-    np.multiply(sub.instance.A[:, support], sub.v[:, None], out=M[:, :k])
-    M[:, k] = sub.b_w
-    R = np.linalg.qr(M, mode="r")
-    R, qtb = R[:k, :k], R[:k, k]
-    c = sub.w[support] * signs
-    z_ls = solve_upper(R, qtb)
-    h = solve_upper(R, solve_upper(R, c, trans=True))
+    c, z_ls, h, _ = face
     mu = (float(c @ z_ls) - tau) / float(c @ h)
     if not mu >= 0.0:
         return None
@@ -121,12 +119,6 @@ def _exact_point(sub: SubproblemData, x):
     """Exact (x, r, g): r = b_w - A_k x, free at x = 0, and g = -A_k^T r."""
     r = sub.b_w - sub.matvec(x) if x.any() else sub.b_w.copy()
     return x, r, -sub.rmatvec(r)
-
-
-def _tally(stats: dict | None, key: str, amount) -> None:
-    """Add ``amount`` to ``stats[key]``, from 0 when absent; None is a no-op."""
-    if stats is not None:
-        stats[key] = stats.get(key, 0) + amount
 
 
 def spg_lasso(sub: SubproblemData, tau: float, start=None,
@@ -335,6 +327,11 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     built from it.  An escalation re-solves in place with the target at
     the tightened root_tol.
 
+    A warm solve first calls :func:`~dir_sparse.core.face_solve` on the
+    face of ``warm.x_lasso``.  When it returns a certificate, that is the
+    answer, in both modes, and the state is tau = ||w o z||_1 and
+    x_lasso = z.
+
     Returns ``(certificate, state, info)``.  In certified mode the
     certificate bounds are enforced by tightening the LASSO tolerance up
     to ``_MAX_ESCALATIONS`` times, after which the failing certificate is
@@ -344,7 +341,10 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     ``_MAX_SPG_PER_LASSO`` iterations and ``info["pareto_stops"]`` those
     the target ended; ``info["face_steps"]``, ``info["face_truncations"]``,
     ``info["face_rejections"]`` and ``info["face_s"]`` sum the face
-    statistics of all the solves (see :func:`spg_lasso`).
+    statistics of all the solves (see :func:`spg_lasso`), ``face_s`` with
+    the seconds of the warm face try, and ``info["face_accepted"]`` and
+    ``info["face_checks"]`` count that try's answer and product pairs.  On
+    a face answer every other entry is 0.
     """
     if mode not in ("certified", "blackbox"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -355,6 +355,18 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
         raise ValueError(
             "degenerate subproblem: x = 0 is already feasible (the Pareto "
             "root is tau = 0), which the standing assumptions rule out")
+
+    stats = {"face_steps": 0, "face_truncations": 0, "face_rejections": 0,
+             "face_s": 0.0, "pareto_stops": 0, "face_accepted": 0,
+             "face_checks": 0}
+    if warm is not None:
+        cert = face_solve(sub, warm.x_lasso, stats)
+        if cert is not None:
+            x = cert.x_tilde
+            state = SpgState(tau=float(np.abs(sub.w * x).sum()), x_lasso=x)
+            info = {"iterations": 0, "newton_steps": 0, "escalations": 0,
+                    "root_gap": 0.0, "lasso_unconverged": 0, **stats}
+            return cert, state, info
 
     mach_slack = 50.0 * np.finfo(float).eps * max(1.0, b_norm)
     root_tol = max(1e-6 * sigma_bar, mach_slack)
@@ -372,8 +384,6 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     escalations = 0
     newton_steps = 0
     lasso_unconverged = 0
-    stats = {"face_steps": 0, "face_truncations": 0, "face_rejections": 0,
-             "face_s": 0.0, "pareto_stops": 0}
     cert = None
 
     for _ in range(_MAX_NEWTON):

@@ -188,6 +188,8 @@ class TestSolve:
         # One matvec and one rmatvec per sweep.  The constant is the first
         # product and gradient, the exact check of the last sweep, and on a
         # warm start with a nonzero multiplier the seed of A_k^T lam / beta.
+        # No face answer, so the warm solve iterates.
+        monkeypatch.setattr(admm_module, "face_solve", lambda *args: None)
         calls = []
         for name in ("matvec", "rmatvec"):
             def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
@@ -234,6 +236,7 @@ class TestSolve:
     def test_certificate_kkt_recomputed_exactly(self, monkeypatch,
                                                 desk_instance):
         sub, warm = self._second_subproblem(desk_instance)
+        monkeypatch.setattr(admm_module, "face_solve", lambda *args: None)
         betas = self._record_penalties(monkeypatch)
         cert, state, info = admm_solve(sub, warm)
         betas = betas[:]
@@ -252,6 +255,7 @@ class TestSolve:
         # The lie also feeds the residual balancing, which doubles beta at the
         # end of each window, so the replay follows the solve's penalties.
         sub, warm = self._second_subproblem(desk_instance)
+        monkeypatch.setattr(admm_module, "face_solve", lambda *args: None)
         monkeypatch.setattr(admm_module, "_carried_kkt", lambda *args: 0.0)
         betas = self._record_penalties(monkeypatch)
         cert, state, info = admm_solve(sub, warm)

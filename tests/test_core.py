@@ -14,10 +14,13 @@ from hypothesis.extra import numpy as hnp
 
 import dir_sparse
 from dir_sparse import (DirConfig, InexactCertificate, InstanceSpec, LossKind,
-                        LossSpec, PenaltySpec, RunStatus, build_subproblem,
-                        constraint_grad, generate_instance, register_engine,
-                        retract, run_dir, stationarity_report)
-from dir_sparse.core import FEASIBILITY_SLACK, ProblemInstance, SubproblemData
+                        LossSpec, PenaltySpec, RunStatus, admm_solve,
+                        build_subproblem, constraint_grad, generate_instance,
+                        register_engine, retract, run_dir,
+                        stationarity_report)
+from dir_sparse.core import (_FACE_ROUNDS, FEASIBILITY_SLACK, ProblemInstance,
+                             SubproblemData, face_least_squares, face_solve,
+                             get_engine)
 from dir_sparse.harness import _problem_data
 
 from conftest import ALL_KINDS, make_instance
@@ -404,6 +407,126 @@ def certificate_violation_run(certified=True):
                                          outer_tol=-1.0))
 
 
+def first_face_subproblem():
+    """The desk run's first subproblem that ADMM answers on a face.
+
+    Returns the subproblem and the previous ADMM answer, whose face it is.
+    """
+    inst, _ = generate_instance(InstanceSpec(m=54, n=256, s=8, seed=0))
+    x, warm = inst.least_norm, None
+    for k in range(10):
+        sub = build_subproblem(inst, x, k)
+        cert, state, info = admm_solve(sub, warm)
+        if info["face_accepted"]:
+            return sub, warm.x
+        x, warm = cert.x_next, state
+    raise AssertionError("no face answer in 10 outer iterations")
+
+
+def unmeetable_face_answer():
+    """face_solve on the first face subproblem with eps_k = -1."""
+    sub, x_prev = first_face_subproblem()
+    sub.eps_k = -1.0
+    stats = {}
+    return face_solve(sub, x_prev, stats), stats
+
+
+class TestFaceSolve:
+    def test_desk_answer_is_the_face_optimum(self):
+        sub, x_prev = first_face_subproblem()
+        cert = face_solve(sub, x_prev)
+        assert cert is not None and cert.criteria_met
+        x = cert.x_tilde
+        residual = sub.matvec(x) - sub.b_w
+        assert float(np.linalg.norm(residual)) == pytest.approx(
+            sub.sigma_bar, rel=1e-12, abs=0.0)
+        assert cert.kkt_residual <= 1e-10
+        # t from the normal equations on the face, independent of the QR.
+        S = np.flatnonzero(x)
+        M = sub.v[:, None] * sub.instance.A[:, S]
+        z_ls = np.linalg.lstsq(M, sub.b_w, rcond=None)[0]
+        rho2 = float(np.sum((M @ z_ls - sub.b_w) ** 2))
+        c = sub.w[S] * np.sign(x[S])
+        h = np.linalg.solve(M.T @ M, c)
+        t = math.sqrt((sub.sigma_k - rho2) / float(c @ h))
+        assert cert.multiplier > 0.0
+        assert cert.multiplier == pytest.approx(1.0 / t, rel=1e-9)
+        np.testing.assert_allclose(x[S], z_ls - t * h, rtol=1e-9)
+
+    def test_removed_column_added_back(self):
+        # Without a column the face either still reaches the ball, and then
+        # the column must come back, or it does not, and no answer is tried.
+        sub, x_prev = first_face_subproblem()
+        want = face_solve(sub, x_prev).x_tilde
+        S = np.flatnonzero(want)
+        reachable = 0
+        for j in S:
+            short = want.copy()
+            short[j] = 0.0
+            rest = np.flatnonzero(short)
+            *_, rho2 = face_least_squares(sub, rest, np.sign(short[rest]))
+            stats = {}
+            cert = face_solve(sub, short, stats)
+            if rho2 >= sub.sigma_k:
+                assert cert is None and stats["face_checks"] == 0
+                continue
+            reachable += 1
+            assert cert is not None
+            assert 2 <= stats["face_checks"] <= _FACE_ROUNDS
+            np.testing.assert_array_equal(np.flatnonzero(cert.x_tilde), S)
+            np.testing.assert_allclose(cert.x_tilde, want, rtol=1e-9,
+                                       atol=1e-12)
+        assert reachable > 0
+
+    @pytest.mark.parametrize("size", [0, 54, 60])
+    def test_empty_or_full_support_spends_nothing(self, size):
+        sub, _ = first_face_subproblem()
+        x_prev = np.zeros(sub.w.shape[0])
+        x_prev[:size] = 1.0
+        calls = (sub.matvec_calls, sub.rmatvec_calls)
+        stats = {}
+        assert face_solve(sub, x_prev, stats) is None
+        assert (sub.matvec_calls, sub.rmatvec_calls) == calls
+        assert stats["face_checks"] == stats["face_accepted"] == 0
+
+    def test_unmeetable_eps_gives_none(self):
+        cert, stats = unmeetable_face_answer()
+        assert cert is None
+        assert stats["face_checks"] >= 1 and stats["face_accepted"] == 0
+
+    def test_unmeetable_eps_gives_none_under_python_O(self):
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(dir_sparse.__file__)),
+                                os.path.dirname(__file__)])
+        code = ("import sys, test_core\n"
+                "cert, stats = test_core.unmeetable_face_answer()\n"
+                "print(sys.flags.optimize, cert is None, stats['face_checks'])\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 0, out.stderr
+        optimize, is_none, checks = out.stdout.split()
+        assert (optimize, is_none) == ("1", "True") and int(checks) >= 1
+
+    @pytest.mark.parametrize("engine", ["admm", "spg", "spg-blackbox"])
+    def test_face_answered_warm_solve(self, engine):
+        # The engine's own answer on the desk's first face subproblem is
+        # answered on its face, and its state warm-starts the next solve.
+        solve, _ = get_engine(engine)
+        inst, _ = generate_instance(InstanceSpec(m=54, n=256, s=8, seed=0))
+        sub0 = build_subproblem(inst, inst.least_norm, 0)
+        cert0, warm, info0 = solve(sub0, None)
+        assert info0["face_accepted"] == info0["face_checks"] == 0
+        sub1 = build_subproblem(inst, cert0.x_next, 1)
+        cert1, state1, info1 = solve(sub1, warm)
+        assert info1["iterations"] == 0 and info1["face_accepted"] == 1
+        assert info1["face_checks"] == sub1.matvec_calls == sub1.rmatvec_calls
+        assert cert1.criteria_met
+        sub2 = build_subproblem(inst, cert1.x_next, 2)
+        cert2, _, info2 = solve(sub2, state1)
+        assert cert2.criteria_met and info2["face_accepted"] == 1
+        assert info2["iterations"] == 0
+
+
 class TestRunDir:
     def test_stopping_rule_plumbing(self):
         inst = make_instance(6, 15, seed=12)
@@ -563,9 +686,11 @@ class TestRunDir:
 
     @pytest.mark.parametrize("engine, keys", [
         ("admm", {"best_kkt", "best_kkt_iter", "exact_checks",
-                  "penalty_changes", "beta_scale"}),
+                  "penalty_changes", "beta_scale", "face_accepted",
+                  "face_checks", "face_s"}),
         ("spg", {"newton_steps", "escalations", "root_gap",
-                 "lasso_unconverged", "face_steps", "face_s"}),
+                 "lasso_unconverged", "face_steps", "face_s",
+                 "face_accepted", "face_checks"}),
     ])
     def test_history_carries_engine_info(self, desk_instance, engine, keys):
         inst, _ = desk_instance
@@ -578,17 +703,21 @@ class TestRunDir:
         assert parsed == res.history
 
     def test_products_counted_per_iteration(self, desk_instance):
-        # ADMM spends one matvec per sweep plus the first, and one rmatvec per
-        # sweep plus the first gradient, each exact check and, on a warm
-        # start, the seed of A_k^T lam / beta; run_dir spends none.
+        # A warm solve's face try spends one product pair per check.  When
+        # the engine runs, ADMM spends one matvec per sweep plus the first,
+        # and one rmatvec per sweep plus the first gradient, each exact check
+        # and, on a warm start, the seed of A_k^T lam / beta; run_dir spends
+        # none.
         inst, _ = desk_instance
         res = run_dir(inst, DirConfig(engine="admm"))
         assert res.status is RunStatus.CONVERGED
         for rec in res.history:
-            assert rec["matvec_calls"] == rec["inner_iterations"] + 1
-            extra = rec["rmatvec_calls"] - rec["inner_iterations"] \
-                - rec["exact_checks"]
-            assert extra == (1 if rec["k"] == 0 else 2)
+            ran = not rec["face_accepted"]
+            assert rec["matvec_calls"] == rec["face_checks"] \
+                + ran * (rec["inner_iterations"] + 1)
+            extra = rec["rmatvec_calls"] - rec["face_checks"] \
+                - rec["inner_iterations"] - rec["exact_checks"]
+            assert extra == ran * (1 if rec["k"] == 0 else 2)
 
     def test_desk_run_invariants(self, desk_instance):
         inst, _ = desk_instance

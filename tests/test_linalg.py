@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dir_sparse import (lambda_max_gram, least_norm_solution, project_l2_ball,
@@ -334,6 +334,19 @@ class TestProperties:
         assert float(w @ np.abs(p)) <= tau + 1e-13 * float(w @ np.abs(y)) + floor
         pp = project_weighted_l1_ball(p, w, tau)
         assert np.linalg.norm(p - pp) <= 1e-13 * max(1.0, float(np.linalg.norm(y)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(projection_cases())
+    # tau far below ||w o y||_1: the shrinkage |y| - theta w cancels, and
+    # the unscaled result overshot tau by 1e-8 relative.
+    @example((np.array([243.0]), np.array([0.05]), 1.215e-7))
+    def test_projection_within_tau(self, case):
+        # Relative rounding only: below about 1e-300 it turns absolute (see
+        # test_projection_feasible_and_idempotent).
+        y, w, tau = case
+        assume(tau == 0.0 or tau >= 1e-300)
+        p = project_weighted_l1_ball(y, w, tau)
+        assert float(w @ np.abs(p)) <= tau * (1 + 1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(projection_cases(), st.floats(1.0, 10.0))
