@@ -10,7 +10,10 @@ A warm solve first tries the closed-form answer on the face of the
 previous answer (:func:`~dir_sparse.core.face_solve`), at one QR and one
 product pair per round, usually one round.  When that answer meets the
 certificate no sweep is run; otherwise the sweeps start from the warm
-state.
+state.  The sweeps' own iterate settles on the answer's face long before
+they meet eps_k (FPC_AS, Wen, Yin, Goldfarb & Zhang 2010, SIAM J. Sci.
+Comput. 32(4)), so every ``_FACE_EVERY`` sweeps its sign pattern is looked
+at, and a pattern that held since the last look is tried the same way.
 
 A sweep of :func:`admm_solve` costs two products with A_k, one ``matvec``
 and one ``rmatvec``.  The optimality surrogate is carried by recurrence
@@ -55,6 +58,10 @@ _MAX_INNER = 100_000
 _ADAPT_EVERY = 50
 _ADAPT_RATIO = 5.0
 _ADAPT_MAX = 20
+# Face tries between sweeps: sweeps between looks at the sign pattern of x,
+# and the largest | ||A_k x - b_w|| - sigma_bar | / sigma_bar at a try.
+_FACE_EVERY = 5
+_FACE_GAP = 0.1
 
 
 @dataclass
@@ -135,6 +142,16 @@ def _ball_multiplier(z: np.ndarray, sigma_bar: float, beta: float) -> float:
     return beta * (nz - sigma_bar) / sigma_bar
 
 
+def _face_answer(cert: InexactCertificate, info: dict):
+    """The engine's return for a face answer of :func:`face_solve`.
+
+    The state is x = z, u = u_tilde and the face's exact multiplier
+    lam = -u_tilde / t, so that A_k^T lam = w o sign(z) on the support.
+    """
+    u = cert.u_tilde
+    return cert, AdmmState(x=cert.x_tilde, u=u, lam=-cert.multiplier * u), info
+
+
 def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     """Iterate ADMM until the subproblem certificate is accepted.
 
@@ -169,30 +186,41 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     with no sweep, and the state is x = z, u = u_tilde and the face's exact
     multiplier lam = -u_tilde / t (A_k^T lam = w o sign(z) on the support).
 
+    Every ``_FACE_EVERY`` sweeps the sign pattern of x is looked at.  When
+    it equals the pattern of the previous look, was not tried before in
+    this solve (face_solve reads only the pattern, so a second try would
+    fail again) and ||A_k x - b_w|| is within ``_FACE_GAP`` * sigma_bar of
+    sigma_bar, the residual norm of every face answer, face_solve is
+    called on x.  A certificate it returns ends the solve with the same
+    state as at warm entry.  A failed try changes no iterate; it spends
+    one product pair per checked round.  The residual test keeps the tries
+    away from iterates still far from the ball, whose supports are still
+    changing.
+
     Returns ``(certificate, state, info)`` where ``info`` carries the
     iteration count, the trajectory minimum of the optimality surrogate
     and its sweep, the number of exact checks, the number of penalty
     changes, the final ``beta_scale`` = beta * Lbar**0.5, and the face
-    try's ``face_accepted``, ``face_checks`` and ``face_s``; on a face
-    answer every entry but those three is 0.  After ``_MAX_INNER`` sweeps
-    the certificate of the last iterate is returned, whether it passes or
-    not.
+    tries' ``face_accepted``, ``face_checks`` and ``face_s``; on a face
+    answer at warm entry every entry but those three is 0, and on one
+    between sweeps the others describe the sweeps taken.  After
+    ``_MAX_INNER`` sweeps the certificate of the last iterate is returned,
+    whether it passes or not.
     """
     n = sub.w.shape[0]
     m = sub.b_w.shape[0]
     face = {"face_accepted": 0, "face_checks": 0, "face_s": 0.0}
+    tried = set()
     if warm is None:
         x, u, lam = np.zeros(n), np.zeros(m), np.zeros(m)
     else:
+        tried.add(np.sign(warm.x).tobytes())
         cert = face_solve(sub, warm.x, face)
         if cert is not None:
-            # The face's exact multiplier: A_k^T lam = w o sign(x) on S.
-            u = cert.u_tilde
-            state = AdmmState(x=cert.x_tilde, u=u, lam=-cert.multiplier * u)
-            info = {"iterations": 0, "best_kkt": 0.0, "best_kkt_iter": 0,
-                    "exact_checks": 0, "penalty_changes": 0,
-                    "beta_scale": 0.0, **face}
-            return cert, state, info
+            return _face_answer(cert, {
+                "iterations": 0, "best_kkt": 0.0, "best_kkt_iter": 0,
+                "exact_checks": 0, "penalty_changes": 0, "beta_scale": 0.0,
+                **face})
         x, u, lam = warm.x.copy(), warm.u.copy(), warm.lam.copy()
 
     L_bar, beta0 = _scaling(sub)
@@ -212,6 +240,7 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     changes = 0
     kkt_window = coupling_window = 0.0
     cert = None
+    looked = None
 
     for it in range(1, _MAX_INNER + 1):
         x_new, Akx_new, z, u_new, lam_new, r = _advance(
@@ -251,11 +280,24 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
                 beta *= factor
                 changes += 1
             kkt_window = coupling_window = 0.0
+        if it % _FACE_EVERY == 0:
+            pattern = np.sign(x).tobytes()
+            gap = abs(float(np.linalg.norm(Akx - sub.b_w)) - sub.sigma_bar)
+            if pattern == looked and pattern not in tried \
+                    and gap <= _FACE_GAP * sub.sigma_bar:
+                tried.add(pattern)
+                face_cert = face_solve(sub, x, face)
+                if face_cert is not None:
+                    cert = face_cert
+                    break
+            looked = pattern
 
     info = {"iterations": it, "best_kkt": best_kkt,
             "best_kkt_iter": best_kkt_iter, "exact_checks": exact_checks,
             "penalty_changes": changes, "beta_scale": beta / beta0,
             **face}
+    if face["face_accepted"]:
+        return _face_answer(cert, info)
     return cert, AdmmState(x=x, u=u, lam=lam), info
 
 

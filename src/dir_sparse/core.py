@@ -370,8 +370,10 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
     r = M z - b_w has norm sigma_bar and M^T r = -t c, so the subproblem
     multiplier is 1 / t.
 
-    An active-set loop of at most ``_FACE_ROUNDS`` rounds, each one QR,
-    starts from S = supp(x_prev) and s = sign(x_prev[S]).  A round whose z
+    ``x_prev`` is an engine's previous answer or, for ADMM, its current
+    iterate; only its sign pattern is read.  An active-set loop of at most
+    ``_FACE_ROUNDS`` rounds, each one QR, starts from S = supp(x_prev) and
+    s = sign(x_prev[S]).  A round whose z
     flips a sign drops those entries and spends no product.  Otherwise one
     ``matvec`` forms r and one ``rmatvec`` q = A_k^T r; the off-support
     entries with |q_j| > t w_j violate the optimality conditions, and the

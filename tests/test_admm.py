@@ -350,6 +350,8 @@ class TestPenalty:
             monkeypatch.setattr(admm_module, "_ADAPT_EVERY", every)
 
     def test_changes_spend_no_product(self, monkeypatch):
+        # Only the sweeps' products are counted, so no face is tried.
+        monkeypatch.setattr(admm_module, "face_solve", lambda *args: None)
         calls = []
         for name in ("matvec", "rmatvec"):
             def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
@@ -434,6 +436,102 @@ class TestPenalty:
         res = run_dir(inst, DirConfig(engine="admm"))
         assert res.status is RunStatus.CONVERGED
         assert sum(rec["inner_iterations"] for rec in res.history) <= 30_000
+
+
+class TestMidSolveFace:
+    """Face tries on the sign pattern the sweeps settle on."""
+
+    def test_cold_solve_answered_mid_solve(self, desk_instance):
+        # The desk's first subproblem has no face to try at entry; the
+        # sweeps settle on the answer's face and it is answered there.
+        inst, _ = desk_instance
+        sub0 = build_subproblem(inst, inst.least_norm, 0)
+        cert0, state0, info0 = admm_solve(sub0, None)
+        assert info0["iterations"] > 0 and info0["face_accepted"] == 1
+        assert info0["iterations"] % admm_module._FACE_EVERY == 0
+        assert cert0.criteria_met
+        np.testing.assert_array_equal(state0.x, cert0.x_tilde)
+        np.testing.assert_array_equal(state0.u, cert0.u_tilde)
+        np.testing.assert_array_equal(state0.lam,
+                                      -cert0.multiplier * cert0.u_tilde)
+        sub1 = build_subproblem(inst, cert0.x_next, 1)
+        cert1, _, info1 = admm_solve(sub1, state0)
+        assert cert1.criteria_met
+        assert info1["iterations"] == 0 and info1["face_accepted"] == 1
+
+    @pytest.mark.parametrize("kind", [LossKind.CAUCHY, LossKind.HUBER])
+    def test_try_only_on_a_held_pattern_once(self, monkeypatch, desk_instance,
+                                             kind):
+        # With eps_k = -1 every try fails, so the sweeps run to the cap and
+        # every look at the pattern is made.  On the desk instance a pattern
+        # often holds only for one look; on the seed-3 Huber instance most
+        # held patterns come while ||A_k x - b_w|| is far from sigma_bar.
+        inst = desk_instance[0] if kind is LossKind.CAUCHY \
+            else make_instance(54, 256, 3, kind)
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        sub.eps_k = -1.0
+        every, N = admm_module._FACE_EVERY, 400
+        monkeypatch.setattr(admm_module, "_MAX_INNER", N)
+        # The sign pattern after each sweep, and each try as (sweeps taken
+        # so far, sign pattern of its x, ||A_k x - b_w||).
+        sweeps, tries = [], []
+        advance = admm_module._advance
+        face_solve = admm_module.face_solve
+
+        def spy_advance(*args):
+            out = advance(*args)
+            sweeps.append(np.sign(out[0]))
+            return out
+
+        def spy_face(sub, x, stats=None):
+            residual = sub.v * (sub.instance.A @ x) - sub.b_w
+            tries.append((len(sweeps), np.sign(x),
+                          float(np.linalg.norm(residual))))
+            return face_solve(sub, x, stats)
+        monkeypatch.setattr(admm_module, "_advance", spy_advance)
+        monkeypatch.setattr(admm_module, "face_solve", spy_face)
+        admm_solve(sub, None)
+        looks = [sweeps[it - 1] for it in range(every, N + 1, every)]
+        held = sum(np.array_equal(a, b) for a, b in zip(looks, looks[1:]))
+        assert 1 <= len(tries) < held
+        for it, pattern, residual in tries:
+            assert it % every == 0 and it >= 2 * every
+            np.testing.assert_array_equal(pattern, sweeps[it - 1])
+            np.testing.assert_array_equal(pattern, sweeps[it - 1 - every])
+            assert abs(residual - sub.sigma_bar) \
+                <= admm_module._FACE_GAP * sub.sigma_bar
+        patterns = {pattern.tobytes() for _, pattern, _ in tries}
+        assert len(patterns) == len(tries)
+
+    def test_failed_tries_leave_the_sweeps_unchanged(self, monkeypatch,
+                                                     desk_instance):
+        # Failed tries spend product pairs but change no iterate: the solve
+        # ends on the cap's exact check at the same point as one without
+        # face tries.
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        sub.eps_k = -1.0
+        N = 400
+        monkeypatch.setattr(admm_module, "_MAX_INNER", N)
+        cert, state, info = admm_solve(sub, None)
+        assert info["iterations"] == N and info["exact_checks"] == 1
+        assert info["face_accepted"] == 0 and info["face_checks"] >= 1
+        assert not cert.criteria_met
+        np.testing.assert_array_equal(state.x, cert.x_tilde)
+        monkeypatch.setattr(admm_module, "face_solve", lambda *args: None)
+        cert_plain, state_plain, _ = admm_solve(sub, None)
+        np.testing.assert_array_equal(state.x, state_plain.x)
+        np.testing.assert_array_equal(state.lam, state_plain.lam)
+        assert cert.kkt_residual == cert_plain.kkt_residual
+
+    @pytest.mark.parametrize("kind, budget", [(LossKind.TUKEY_BIWEIGHT, 40_000),
+                                              (LossKind.HUBER, 5_000)])
+    def test_seed3_robust_loss_within_budget(self, kind, budget):
+        # Answering on the settled face took these runs from 421,182
+        # (Tukey) and 26,315 (Huber) sweeps to 19,734 and 2,485.
+        res = run_dir(make_instance(54, 256, 3, kind), DirConfig(engine="admm"))
+        assert res.status is RunStatus.CONVERGED
+        assert sum(rec["inner_iterations"] for rec in res.history) <= budget
 
 
 class TestBallMultiplier:
