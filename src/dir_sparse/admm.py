@@ -12,8 +12,9 @@ product pair per round, usually one round.  When that answer meets the
 certificate no sweep is run; otherwise the sweeps start from the warm
 state.  The sweeps' own iterate settles on the answer's face long before
 they meet eps_k (FPC_AS, Wen, Yin, Goldfarb & Zhang 2010, SIAM J. Sci.
-Comput. 32(4)), so every ``_FACE_EVERY`` sweeps its sign pattern is looked
-at, and a pattern that held since the last look is tried the same way.
+Comput. 32(4)), so every ``_FACE_EVERY`` sweeps it is shown to the
+subproblem's :class:`~dir_sparse.core.FaceGate`, the same gate the SPG
+engine uses, which tries a pattern that held since the last look.
 
 A sweep of :func:`admm_solve` costs two products with A_k, one ``matvec``
 and one ``rmatvec``.  The optimality surrogate is carried by recurrence
@@ -38,8 +39,8 @@ import math
 
 import numpy as np
 
-from .core import InexactCertificate, SubproblemData, face_solve, \
-    register_engine
+from .core import _FACE_EVERY, FaceGate, InexactCertificate, \
+    SubproblemData, register_engine
 # The benchmark's tracer wraps dir_sparse.admm.retract by that name, so it
 # stays importable here although the certificate retracts in core.
 from .core import retract  # noqa: F401
@@ -58,10 +59,6 @@ _MAX_INNER = 100_000
 _ADAPT_EVERY = 50
 _ADAPT_RATIO = 5.0
 _ADAPT_MAX = 20
-# Face tries between sweeps: sweeps between looks at the sign pattern of x,
-# and the largest | ||A_k x - b_w|| - sigma_bar | / sigma_bar at a try.
-_FACE_EVERY = 5
-_FACE_GAP = 0.1
 
 
 @dataclass
@@ -181,21 +178,14 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     solve.  q does not depend on beta, and p and g = q - p are rescaled in
     place, so a change spends no product.
 
-    A warm solve first calls :func:`~dir_sparse.core.face_solve` on the
-    face of ``warm.x``.  When it returns a certificate, that is the answer,
-    with no sweep, and the state is x = z, u = u_tilde and the face's exact
-    multiplier lam = -u_tilde / t (A_k^T lam = w o sign(z) on the support).
-
-    Every ``_FACE_EVERY`` sweeps the sign pattern of x is looked at.  When
-    it equals the pattern of the previous look, was not tried before in
-    this solve (face_solve reads only the pattern, so a second try would
-    fail again) and ||A_k x - b_w|| is within ``_FACE_GAP`` * sigma_bar of
-    sigma_bar, the residual norm of every face answer, face_solve is
-    called on x.  A certificate it returns ends the solve with the same
-    state as at warm entry.  A failed try changes no iterate; it spends
-    one product pair per checked round.  The residual test keeps the tries
-    away from iterates still far from the ball, whose supports are still
-    changing.
+    One :class:`~dir_sparse.core.FaceGate` serves the solve.  A warm solve
+    first tries the face of ``warm.x`` through it.  When that returns a
+    certificate, that is the answer, with no sweep, and the state is
+    x = z, u = u_tilde and the face's exact multiplier lam = -u_tilde / t
+    (A_k^T lam = w o sign(z) on the support).  Every ``_FACE_EVERY`` sweeps
+    the gate looks at x with the ||A_k x - b_w|| in hand, and may try its
+    face; a certificate from that try ends the solve with the same state
+    as at warm entry, and a failed try changes no iterate.
 
     Returns ``(certificate, state, info)`` where ``info`` carries the
     iteration count, the trajectory minimum of the optimality surrogate
@@ -210,12 +200,11 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     n = sub.w.shape[0]
     m = sub.b_w.shape[0]
     face = {"face_accepted": 0, "face_checks": 0, "face_s": 0.0}
-    tried = set()
+    gate = FaceGate(sub, face)
     if warm is None:
         x, u, lam = np.zeros(n), np.zeros(m), np.zeros(m)
     else:
-        tried.add(np.sign(warm.x).tobytes())
-        cert = face_solve(sub, warm.x, face)
+        cert = gate.enter(warm.x)
         if cert is not None:
             return _face_answer(cert, {
                 "iterations": 0, "best_kkt": 0.0, "best_kkt_iter": 0,
@@ -240,7 +229,6 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     changes = 0
     kkt_window = coupling_window = 0.0
     cert = None
-    looked = None
 
     for it in range(1, _MAX_INNER + 1):
         x_new, Akx_new, z, u_new, lam_new, r = _advance(
@@ -280,17 +268,11 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
                 beta *= factor
                 changes += 1
             kkt_window = coupling_window = 0.0
-        if it % _FACE_EVERY == 0:
-            pattern = np.sign(x).tobytes()
-            gap = abs(float(np.linalg.norm(Akx - sub.b_w)) - sub.sigma_bar)
-            if pattern == looked and pattern not in tried \
-                    and gap <= _FACE_GAP * sub.sigma_bar:
-                tried.add(pattern)
-                face_cert = face_solve(sub, x, face)
-                if face_cert is not None:
-                    cert = face_cert
-                    break
-            looked = pattern
+        if it % _FACE_EVERY == 0 \
+                and gate.look(x, float(np.linalg.norm(Akx - sub.b_w))) \
+                and gate.cert is not None:
+            cert = gate.cert
+            break
 
     info = {"iterations": it, "best_kkt": best_kkt,
             "best_kkt_iter": best_kkt_iter, "exact_checks": exact_checks,

@@ -17,6 +17,13 @@ def _loss_kind(name: str) -> LossKind:
         raise argparse.ArgumentTypeError(f"unknown loss {name!r} (choose from {choices})")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dir-sparse",
@@ -48,16 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--m", type=int, default=540)
     bench.add_argument("--n", type=int, default=2560)
     bench.add_argument("--s", type=int, default=80)
-    bench.add_argument("--scale", type=int,
+    bench.add_argument("--scale", type=_positive_int,
                        help="use (540*i, 2560*i, 80*i) for this i")
-    bench.add_argument("--trials", type=int, default=30)
+    bench.add_argument("--trials", type=_positive_int, default=30)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--engines", default="admm,spg-blackbox",
                        help="comma-separated engine names")
     bench.add_argument("--delta", type=float, default=InstanceSpec.delta)
     bench.add_argument("--penalty-eps", type=float, default=InstanceSpec.epsilon)
     bench.add_argument("--tol", type=float, default=DirConfig.outer_tol)
-    bench.add_argument("--workers", type=int, default=1,
+    bench.add_argument("--workers", type=_positive_int, default=1,
                        help="parallel worker processes for trials")
     bench.add_argument("--out", required=True, help="aggregate CSV path")
     bench.add_argument("--trials-json", help="optional per-trial JSON path")

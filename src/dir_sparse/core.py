@@ -29,6 +29,11 @@ FEASIBILITY_SLACK = 1e-10
 _SIGMA_K_CLAMP = 1e-15
 # Active-set rounds of face_solve, each one QR of the face's columns.
 _FACE_ROUNDS = 6
+# Face tries mid-solve (FaceGate): engine steps between looks at the sign
+# pattern, and the largest | ||A_k x - b_w|| - sigma_bar | / sigma_bar at a
+# try.
+_FACE_EVERY = 5
+_FACE_GAP = 0.1
 
 
 class RunStatus(str, Enum):
@@ -370,8 +375,9 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
     r = M z - b_w has norm sigma_bar and M^T r = -t c, so the subproblem
     multiplier is 1 / t.
 
-    ``x_prev`` is an engine's previous answer or, for ADMM, its current
-    iterate; only its sign pattern is read.  An active-set loop of at most
+    ``x_prev`` is an engine's previous answer or its current iterate, and
+    every engine calls this through :class:`FaceGate`; only its sign
+    pattern is read.  An active-set loop of at most
     ``_FACE_ROUNDS`` rounds, each one QR, starts from S = supp(x_prev) and
     s = sign(x_prev[S]).  A round whose z
     flips a sign drops those entries and spends no product.  Otherwise one
@@ -435,6 +441,51 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
     _tally(stats, "face_checks", checks)
     _tally(stats, "face_s", time.perf_counter() - tic)
     return cert
+
+
+class FaceGate:
+    """The one way an engine tries :func:`face_solve`, for one subproblem.
+
+    :meth:`enter` tries the face of the warm answer.  Mid-solve the engine
+    calls :meth:`look` every ``_FACE_EVERY`` steps with its iterate x and
+    ||A_k x - b_w||; the engine's own iterate settles on the answer's face
+    long before it meets eps_k (FPC_AS, Wen, Yin, Goldfarb & Zhang 2010).
+    A look tries x when three things hold: its sign pattern equals the
+    previous look's; it was not tried before in this subproblem (face_solve
+    reads only the pattern, so a second try would fail again, and the warm
+    answer's pattern counts as tried); and the residual norm is within
+    ``_FACE_GAP`` * sigma_bar of sigma_bar, the residual norm of every face
+    answer, which keeps the tries away from iterates whose supports are
+    still changing.  A try spends one product pair per checked round and
+    changes no iterate.  ``cert`` holds the last try's certificate, or None;
+    one that is not None answers the subproblem.  face_solve adds its
+    ``face_accepted``, ``face_checks`` and ``face_s`` to ``stats``.
+    """
+
+    def __init__(self, sub: SubproblemData, stats: dict):
+        self.sub = sub
+        self.stats = stats
+        self.cert: Optional[InexactCertificate] = None
+        self._tried = set()
+        self._looked = None
+
+    def enter(self, x_prev: np.ndarray) -> Optional[InexactCertificate]:
+        """Try the face of the warm answer ``x_prev``; return ``cert``."""
+        self._tried.add(np.sign(x_prev).tobytes())
+        self.cert = face_solve(self.sub, x_prev, self.stats)
+        return self.cert
+
+    def look(self, x: np.ndarray, rho: float) -> bool:
+        """Look at x, with rho = ||A_k x - b_w||; True when it tried x."""
+        pattern = np.sign(x).tobytes()
+        held, self._looked = pattern == self._looked, pattern
+        sigma_bar = self.sub.sigma_bar
+        if held and pattern not in self._tried \
+                and abs(rho - sigma_bar) <= _FACE_GAP * sigma_bar:
+            self._tried.add(pattern)
+            self.cert = face_solve(self.sub, x, self.stats)
+            return True
+        return False
 
 
 def stationarity_report(instance: ProblemInstance, x: np.ndarray,

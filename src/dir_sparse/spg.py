@@ -7,12 +7,7 @@ tau-constrained weighted LASSO.  Each phi evaluation is a projected
 gradient solve with Barzilai-Borwein steps and a nonmonotone line search
 along the fixed projected direction d = P(x - alpha g) - x, so that an
 iteration spends one projection, one product A_k d and one product
-A_k^T r.  Every ``_FACE_WAIT`` iterations an iteration's direction may
-instead point to the least-squares minimizer on the face of the l1 ball
-that the signs of x select, with any entry whose sign flips set to zero,
-found from one QR of the face's columns of A_k (a subspace step as in
-FPC_AS); it is taken only as a descent direction and spends no further
-product.  It stops on the bound ||d|| max(1, 1/alpha) on the unit-step
+A_k^T r.  It stops on the bound ||d|| max(1, 1/alpha) on the unit-step
 fixed-point residual and returns the exact point (x, r = b_w - A_k x,
 g = -A_k^T r), which starts the next solve and certifies the answer at no
 further product.
@@ -29,7 +24,12 @@ A warm solve first tries the closed-form answer on the face of the
 previous answer (:func:`~dir_sparse.core.face_solve`), at one QR and one
 product pair per round, usually one round.  When that answer meets the
 certificate, in either mode, it is returned with no Newton step and no
-LASSO iteration; otherwise the Newton steps run as above.
+LASSO iteration; otherwise the Newton steps run as above.  The LASSO
+iterate settles on the answer's face long before the root is found
+(FPC_AS, Wen, Yin, Goldfarb & Zhang 2010), so every ``_FACE_EVERY``
+iterations it is shown to the subproblem's
+:class:`~dir_sparse.core.FaceGate`, the same gate the ADMM engine uses,
+and a certificate from a face it tries answers the subproblem.
 
 Both modes run the LASSO solves at one tolerance, ``_LASSO_TOL``.
 "certified" tightens it tenfold only when the subproblem certificate fails
@@ -39,14 +39,13 @@ records, but never enforces, the certificate bounds.
 """
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InexactCertificate, SubproblemData, _tally, \
-    face_least_squares, face_solve, register_engine
+from .core import _FACE_EVERY, FaceGate, InexactCertificate, \
+    SubproblemData, _tally, register_engine
 # The benchmark's tracer wraps dir_sparse.spg.retract by that name, so it
 # stays importable here although the certificate retracts in core.
 from .core import retract  # noqa: F401
@@ -60,9 +59,6 @@ _ALPHA_MAX = 1e10
 _ARMIJO_CONST = 1e-4
 _NONMONOTONE_MEMORY = 10
 _MAX_SPG_PER_LASSO = 20_000
-# Iterations between spg_lasso's tries of a face step; doubled after each
-# refused try.
-_FACE_WAIT = 20
 # LASSO tolerance of both modes; certified mode starts here.
 _LASSO_TOL = 1e-6
 # Inexact-Newton factor c: a solve given a Pareto target ends once its
@@ -90,31 +86,6 @@ def _projection_multiplier(y, x_proj, w):
     return max((abs(y[i]) - abs(x_proj[i])) / w[i], 0.0)
 
 
-def _face_minimizer(sub: SubproblemData, support, signs, tau: float):
-    """Minimizer z of 0.5 ||A_k z - b_w||^2 on the face of the l1 ball.
-
-    The face is {supp(z) in support, sign(z) = signs, c . z = tau} with
-    c = w[support] o signs.  From :func:`face_least_squares`,
-    z = z_ls - mu h with mu = (c . z_ls - tau) / (c . h).  Returns z on the
-    support, or None when |S| = 0, |S| >= m or mu < 0 (the ball is not
-    binding on the face).  Entries of z whose sign differs from ``signs``
-    are set to 0 (the projection onto the face's orthant), which raises
-    c . z, and z is then scaled down by tau / (c . z), so that it keeps
-    ``signs`` or is 0 on each entry and lies in the ball.
-    """
-    face = face_least_squares(sub, support, signs)
-    if face is None:
-        return None
-    c, z_ls, h, _ = face
-    mu = (float(c @ z_ls) - tau) / float(c @ h)
-    if not mu >= 0.0:
-        return None
-    z = z_ls - mu * h
-    z[np.sign(z) != signs] = 0.0
-    cz = float(c @ z)
-    return z * (tau / cz) if cz > tau else z
-
-
 def _exact_point(sub: SubproblemData, x):
     """Exact (x, r, g): r = b_w - A_k x, free at x = 0, and g = -A_k^T r."""
     r = sub.b_w - sub.matvec(x) if x.any() else sub.b_w.copy()
@@ -123,7 +94,8 @@ def _exact_point(sub: SubproblemData, x):
 
 def spg_lasso(sub: SubproblemData, tau: float, start=None,
               tol: float = _LASSO_TOL, stats: dict | None = None,
-              _target: tuple[float, float] | None = None):
+              _target: tuple[float, float] | None = None,
+              _gate: FaceGate | None = None):
     """Approximately minimize 0.5 ||A_k x - b_w||^2 over ||w o x||_1 <= tau.
 
     ``start`` is an exact point ``(x, r, g)`` as returned here, or
@@ -142,21 +114,6 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     residual r - s A_k d, so backtracking spends no product and no
     projection.
 
-    Face steps (subspace minimization on the working face, as in FPC_AS,
-    Wen, Yin, Goldfarb & Zhang 2010): ``_FACE_WAIT`` iterations after the
-    last try, whether or not sign(x) has changed since, that iteration's
-    direction may be d = z - x, where z minimizes the objective on the face
-    of the ball that x's signs select, with the entries whose sign flips
-    set to 0 and the result scaled into the ball (:func:`_face_minimizer`).
-    As z and x both lie in the ball, x + s d does for every s in [0, 1].
-    d is taken only when g . d < 0: a feasible descent direction, along
-    which the Armijo search terminates; the search, products and stop test
-    run as for a projected direction.  A try is refused, and the wait
-    doubles, when |S| >= m (no QR is formed), when the ball does not bind
-    on the face, or when d is not a descent direction.  A try costs one QR
-    of the m x (|S| + 1) matrix [A_k[:, S], b_w] and three triangular
-    solves, none of them a product with A_k.
-
     Stops as soon as the next direction d gives
     ||d|| max(1, 1/alpha) <= 10 tol max(||x||, 1).  Since ||P(x - t g) - x||
     grows with t and shrinks divided by t (Calamai & More 1987), that value
@@ -173,22 +130,26 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     |phi - sigma_bar| > root_tol.  The gap is formed only for this test;
     without a target the solve is exactly the plain one.
 
-    When ``stats`` is a dict, these entries are incremented, counting from
-    0 when absent: ``"face_steps"`` (face directions taken),
-    ``"face_truncations"`` (face directions taken whose minimizer had a
-    flipped entry set to 0), ``"face_rejections"`` (face tries refused,
-    each of which doubles the wait), ``"face_s"`` (seconds spent in face
-    tries) and ``"pareto_stops"`` (1 when the target ended the solve).
+    ``_gate``, the subproblem's :class:`~dir_sparse.core.FaceGate` passed
+    by :func:`pareto_newton`, is shown x and ||r|| after every
+    ``_FACE_EVERY``-th iteration.  After a failed face try the next 1, 3,
+    7, ... looks are skipped, since each try costs a QR of the face's
+    columns.  A try that answers the subproblem ends the solve, and the
+    answer is ``_gate.cert``.  Without a gate no face is tried.
+
+    When ``stats`` is a dict, ``"pareto_stops"`` is incremented, counting
+    from 0 when absent, when the target ended the solve.
 
     Returns ``(x, lasso_multiplier, iterations, converged, r, g)``, with r
     and g recomputed exactly at exit, since the residual carried through
-    the iterations drifts by rounding; ``converged`` is False only when the
-    solve stopped at ``_MAX_SPG_PER_LASSO`` iterations.  The multiplier is
-    the shrinkage multiplier of a unit-step gradient projection at the
-    final iterate; at a fixed point the projection multiplier scales
-    linearly with the step, so the unit-step probe is the exact KKT scalar
-    there, whatever the step size of the last move (whose projection may
-    have been inactive).
+    the iterations drifts by rounding, except after a face answer, whose
+    certificate is the subproblem's answer; ``converged`` is False only
+    when the solve stopped at ``_MAX_SPG_PER_LASSO`` iterations.  The
+    multiplier is the shrinkage multiplier of a unit-step gradient
+    projection at the final iterate; at a fixed point the projection
+    multiplier scales linearly with the step, so the unit-step probe is
+    the exact KKT scalar there, whatever the step size of the last move
+    (whose projection may have been inactive).
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -209,8 +170,7 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     recent = deque([0.5 * float(r @ r)], maxlen=_NONMONOTONE_MEMORY)
     converged = False
     it = 0
-    face_wait = _FACE_WAIT
-    idle = 0                # iterations since the last face try
+    misses = skip = 0       # failed face tries; looks left to skip
 
     f_noise = 10.0 * np.finfo(float).eps
     for it in range(1, _MAX_SPG_PER_LASSO + 1):
@@ -218,25 +178,6 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
         # Allowance for float cancellation in f; without it the test can
         # never pass near a fixed point and backtracking kills the step.
         slack = f_noise * max(1.0, f_ref)
-        if idle >= face_wait:
-            idle = 0
-            tic = time.perf_counter()
-            support = np.flatnonzero(x)
-            z = _face_minimizer(sub, support, np.sign(x[support]), tau)
-            # z and x both lie in the ball, so z - x is feasible; it is taken
-            # only as a descent direction, along which the search terminates.
-            dz = None if z is None else z - x[support]
-            taken = dz is not None and float(g[support] @ dz) < 0.0
-            if taken:
-                d = np.zeros(n)
-                d[support] = dz
-            else:
-                face_wait *= 2
-            _tally(stats, "face_steps", taken)
-            # x is nonzero on its support, so a zero of z is a zeroed sign flip.
-            _tally(stats, "face_truncations", taken and not z.all())
-            _tally(stats, "face_rejections", not taken)
-            _tally(stats, "face_s", time.perf_counter() - tic)
         Ad = sub.matvec(d)
         gd = float(g @ d)
         for k in range(60):
@@ -247,7 +188,6 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
                 break
         dx = s * d
         g_new = -sub.rmatvec(r_new)
-        idle += 1
 
         # BB step from the accepted move.
         sy = float(dx @ (g_new - g))
@@ -257,6 +197,15 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             alpha = _ALPHA_MAX
         x, r, g = x + dx, r_new, g_new
         recent.append(f_new)
+        if _gate is not None and it % _FACE_EVERY == 0:
+            if skip:
+                skip -= 1
+            elif _gate.look(x, math.sqrt(2.0 * f_new)):
+                if _gate.cert is not None:
+                    converged = True
+                    break
+                misses += 1
+                skip = 2 ** misses - 1
         if _target is not None:
             # phi(tau) lies in [phi_lo, phi]; with _PARETO_STOP < 1 a narrow
             # enough interval lies wholly on one side of sigma_bar.
@@ -278,7 +227,8 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             converged = True
             break
 
-    x, r, g = _exact_point(sub, x)
+    if _gate is None or _gate.cert is None:
+        x, r, g = _exact_point(sub, x)
     y = x - g
     lam = _projection_multiplier(y, project_weighted_l1_ball(y, w, tau), w)
     return x, lam, it, converged, r, g
@@ -306,6 +256,13 @@ def _certificate(sub: SubproblemData, x, r, g, lasso_multiplier):
         coupling_residual=abs(rho - sigma_bar))
 
 
+def _face_answer(sub: SubproblemData, cert: InexactCertificate, info: dict):
+    """The return for a face answer z: state tau = ||w o z||_1, x_lasso = z."""
+    x = cert.x_tilde
+    info["root_gap"] = cert.coupling_residual
+    return cert, SpgState(tau=float(np.abs(sub.w * x).sum()), x_lasso=x), info
+
+
 def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
                   mode: str = "certified"):
     """Find the subproblem solution by Newton steps on the Pareto curve.
@@ -327,10 +284,11 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     built from it.  An escalation re-solves in place with the target at
     the tightened root_tol.
 
-    A warm solve first calls :func:`~dir_sparse.core.face_solve` on the
-    face of ``warm.x_lasso``.  When it returns a certificate, that is the
-    answer, in both modes, and the state is tau = ||w o z||_1 and
-    x_lasso = z.
+    One :class:`~dir_sparse.core.FaceGate` serves the subproblem.  A warm
+    solve first tries the face of ``warm.x_lasso`` through it, and every
+    LASSO solve shows it its iterate (see :func:`spg_lasso`).  A
+    certificate from either try is the answer, in both modes, and the state
+    is tau = ||w o z||_1 and x_lasso = z.
 
     Returns ``(certificate, state, info)``.  In certified mode the
     certificate bounds are enforced by tightening the LASSO tolerance up
@@ -339,12 +297,10 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     The certificate always belongs to the returned ``state.x_lasso``.
     ``info["lasso_unconverged"]`` counts the LASSO solves that stopped at
     ``_MAX_SPG_PER_LASSO`` iterations and ``info["pareto_stops"]`` those
-    the target ended; ``info["face_steps"]``, ``info["face_truncations"]``,
-    ``info["face_rejections"]`` and ``info["face_s"]`` sum the face
-    statistics of all the solves (see :func:`spg_lasso`), ``face_s`` with
-    the seconds of the warm face try, and ``info["face_accepted"]`` and
-    ``info["face_checks"]`` count that try's answer and product pairs.  On
-    a face answer every other entry is 0.
+    the target ended; ``info["face_accepted"]``, ``info["face_checks"]``
+    and ``info["face_s"]`` count the face tries' answers, product pairs and
+    seconds.  On a face answer ``root_gap`` is the answer's coupling
+    residual, and at warm entry every other entry is 0.
     """
     if mode not in ("certified", "blackbox"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -356,17 +312,13 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
             "degenerate subproblem: x = 0 is already feasible (the Pareto "
             "root is tau = 0), which the standing assumptions rule out")
 
-    stats = {"face_steps": 0, "face_truncations": 0, "face_rejections": 0,
-             "face_s": 0.0, "pareto_stops": 0, "face_accepted": 0,
+    stats = {"face_s": 0.0, "pareto_stops": 0, "face_accepted": 0,
              "face_checks": 0}
-    if warm is not None:
-        cert = face_solve(sub, warm.x_lasso, stats)
-        if cert is not None:
-            x = cert.x_tilde
-            state = SpgState(tau=float(np.abs(sub.w * x).sum()), x_lasso=x)
-            info = {"iterations": 0, "newton_steps": 0, "escalations": 0,
-                    "root_gap": 0.0, "lasso_unconverged": 0, **stats}
-            return cert, state, info
+    gate = FaceGate(sub, stats)
+    if warm is not None and gate.enter(warm.x_lasso) is not None:
+        return _face_answer(sub, gate.cert, {
+            "iterations": 0, "newton_steps": 0, "escalations": 0,
+            "lasso_unconverged": 0, **stats})
 
     mach_slack = 50.0 * np.finfo(float).eps * max(1.0, b_norm)
     root_tol = max(1e-6 * sigma_bar, mach_slack)
@@ -412,21 +364,23 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
         # seventh escalation 3 ulps above 1e-13.
         x, lasso_multiplier, iters, converged, r, g = spg_lasso(
             sub, tau_next, start, tol=_LASSO_TOL / 10 ** escalations,
-            stats=stats, _target=(sigma_bar, root_tol))
+            stats=stats, _target=(sigma_bar, root_tol), _gate=gate)
         total_inner += iters
         lasso_unconverged += not converged
         newton_steps += 1
+        if gate.cert is not None:
+            break
         phi = float(np.linalg.norm(r))
         slope = -float(np.abs(g / sub.w).max()) / phi if phi > 0.0 else 0.0
         tau = tau_next
-    if cert is None or cert.x_tilde is not x:
-        cert = _certificate(sub, x, r, g, lasso_multiplier)
-
-    state = SpgState(tau=tau, x_lasso=x)
     info = {"iterations": total_inner, "newton_steps": newton_steps,
             "escalations": escalations, "root_gap": abs(phi - sigma_bar),
             "lasso_unconverged": lasso_unconverged, **stats}
-    return cert, state, info
+    if gate.cert is not None:
+        return _face_answer(sub, gate.cert, info)
+    if cert is None or cert.x_tilde is not x:
+        cert = _certificate(sub, x, r, g, lasso_multiplier)
+    return cert, SpgState(tau=tau, x_lasso=x), info
 
 
 # Looked up at call time, so a wrapper installed on pareto_newton sees the

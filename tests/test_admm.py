@@ -6,9 +6,10 @@ import pytest
 from dir_sparse import (AdmmState, DirConfig, LossKind, LossSpec, PenaltySpec,
                         RunStatus, admm_solve, admm_step, build_subproblem,
                         retract, run_dir)
-from dir_sparse import admm as admm_module
+from dir_sparse import admm as admm_module, core as core_module
 from dir_sparse.admm import _ball_multiplier
-from dir_sparse.core import ProblemInstance, SubproblemData
+from dir_sparse.core import (_FACE_EVERY, _FACE_GAP, ProblemInstance,
+                             SubproblemData, get_engine)
 
 from conftest import make_instance
 
@@ -189,7 +190,7 @@ class TestSolve:
         # product and gradient, the exact check of the last sweep, and on a
         # warm start with a nonzero multiplier the seed of A_k^T lam / beta.
         # No face answer, so the warm solve iterates.
-        monkeypatch.setattr(admm_module, "face_solve", lambda *args: None)
+        monkeypatch.setattr(core_module, "face_solve", lambda *args: None)
         calls = []
         for name in ("matvec", "rmatvec"):
             def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
@@ -236,7 +237,7 @@ class TestSolve:
     def test_certificate_kkt_recomputed_exactly(self, monkeypatch,
                                                 desk_instance):
         sub, warm = self._second_subproblem(desk_instance)
-        monkeypatch.setattr(admm_module, "face_solve", lambda *args: None)
+        monkeypatch.setattr(core_module, "face_solve", lambda *args: None)
         betas = self._record_penalties(monkeypatch)
         cert, state, info = admm_solve(sub, warm)
         betas = betas[:]
@@ -255,7 +256,7 @@ class TestSolve:
         # The lie also feeds the residual balancing, which doubles beta at the
         # end of each window, so the replay follows the solve's penalties.
         sub, warm = self._second_subproblem(desk_instance)
-        monkeypatch.setattr(admm_module, "face_solve", lambda *args: None)
+        monkeypatch.setattr(core_module, "face_solve", lambda *args: None)
         monkeypatch.setattr(admm_module, "_carried_kkt", lambda *args: 0.0)
         betas = self._record_penalties(monkeypatch)
         cert, state, info = admm_solve(sub, warm)
@@ -351,7 +352,7 @@ class TestPenalty:
 
     def test_changes_spend_no_product(self, monkeypatch):
         # Only the sweeps' products are counted, so no face is tried.
-        monkeypatch.setattr(admm_module, "face_solve", lambda *args: None)
+        monkeypatch.setattr(core_module, "face_solve", lambda *args: None)
         calls = []
         for name in ("matvec", "rmatvec"):
             def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
@@ -438,90 +439,110 @@ class TestPenalty:
         assert sum(rec["inner_iterations"] for rec in res.history) <= 30_000
 
 
-class TestMidSolveFace:
-    """Face tries on the sign pattern the sweeps settle on."""
+ENGINES = ["admm", "spg"]
 
-    def test_cold_solve_answered_mid_solve(self, desk_instance):
+
+class TestMidSolveFace:
+    """Face tries on the sign pattern an engine's iterate settles on.
+
+    Both engines try faces through the one core.FaceGate, so patching
+    core.face_solve reaches every try.
+    """
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_cold_solve_answered_mid_solve(self, desk_instance, engine):
         # The desk's first subproblem has no face to try at entry; the
-        # sweeps settle on the answer's face and it is answered there.
+        # engine's iterate settles on the answer's face and it is answered
+        # there.
+        solve, _ = get_engine(engine)
         inst, _ = desk_instance
         sub0 = build_subproblem(inst, inst.least_norm, 0)
-        cert0, state0, info0 = admm_solve(sub0, None)
+        cert0, state0, info0 = solve(sub0, None)
         assert info0["iterations"] > 0 and info0["face_accepted"] == 1
-        assert info0["iterations"] % admm_module._FACE_EVERY == 0
         assert cert0.criteria_met
-        np.testing.assert_array_equal(state0.x, cert0.x_tilde)
-        np.testing.assert_array_equal(state0.u, cert0.u_tilde)
-        np.testing.assert_array_equal(state0.lam,
-                                      -cert0.multiplier * cert0.u_tilde)
+        if engine == "admm":
+            assert info0["iterations"] % _FACE_EVERY == 0
+            np.testing.assert_array_equal(state0.x, cert0.x_tilde)
+            np.testing.assert_array_equal(state0.u, cert0.u_tilde)
+            np.testing.assert_array_equal(state0.lam,
+                                          -cert0.multiplier * cert0.u_tilde)
+        else:
+            assert state0.x_lasso is cert0.x_tilde
+            assert state0.tau == float(np.abs(sub0.w * cert0.x_tilde).sum())
+            assert info0["root_gap"] == cert0.coupling_residual
         sub1 = build_subproblem(inst, cert0.x_next, 1)
-        cert1, _, info1 = admm_solve(sub1, state0)
+        cert1, _, info1 = solve(sub1, state0)
         assert cert1.criteria_met
         assert info1["iterations"] == 0 and info1["face_accepted"] == 1
 
     @pytest.mark.parametrize("kind", [LossKind.CAUCHY, LossKind.HUBER])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_try_only_on_a_held_pattern_once(self, monkeypatch, desk_instance,
-                                             kind):
-        # With eps_k = -1 every try fails, so the sweeps run to the cap and
-        # every look at the pattern is made.  On the desk instance a pattern
-        # often holds only for one look; on the seed-3 Huber instance most
-        # held patterns come while ||A_k x - b_w|| is far from sigma_bar.
+                                             engine, kind):
+        # With eps_k = -1 every try fails, so ADMM sweeps to the cap and SPG
+        # escalates to its last tolerance, and every look is made that the
+        # engine makes.  On the desk instance a pattern often holds only for
+        # one look; on the seed-3 Huber instance most held patterns come
+        # while ||A_k x - b_w|| is far from sigma_bar.
+        solve, _ = get_engine(engine)
         inst = desk_instance[0] if kind is LossKind.CAUCHY \
             else make_instance(54, 256, 3, kind)
         sub = build_subproblem(inst, inst.least_norm, 0)
         sub.eps_k = -1.0
-        every, N = admm_module._FACE_EVERY, 400
-        monkeypatch.setattr(admm_module, "_MAX_INNER", N)
-        # The sign pattern after each sweep, and each try as (sweeps taken
-        # so far, sign pattern of its x, ||A_k x - b_w||).
-        sweeps, tries = [], []
-        advance = admm_module._advance
-        face_solve = admm_module.face_solve
+        monkeypatch.setattr(admm_module, "_MAX_INNER", 400)
+        # Each look as (sign pattern of x, ||A_k x - b_w|| it was given),
+        # and each try as (index of its look, sign pattern of its x).
+        looks, tries = [], []
+        look = core_module.FaceGate.look
+        face_solve = core_module.face_solve
 
-        def spy_advance(*args):
-            out = advance(*args)
-            sweeps.append(np.sign(out[0]))
-            return out
+        def spy_look(gate, x, rho):
+            residual = sub.v * (sub.instance.A @ x) - sub.b_w
+            assert rho == pytest.approx(np.linalg.norm(residual), rel=1e-9)
+            looks.append((np.sign(x), rho))
+            return look(gate, x, rho)
 
         def spy_face(sub, x, stats=None):
-            residual = sub.v * (sub.instance.A @ x) - sub.b_w
-            tries.append((len(sweeps), np.sign(x),
-                          float(np.linalg.norm(residual))))
+            tries.append((len(looks) - 1, np.sign(x)))
             return face_solve(sub, x, stats)
-        monkeypatch.setattr(admm_module, "_advance", spy_advance)
-        monkeypatch.setattr(admm_module, "face_solve", spy_face)
-        admm_solve(sub, None)
-        looks = [sweeps[it - 1] for it in range(every, N + 1, every)]
-        held = sum(np.array_equal(a, b) for a, b in zip(looks, looks[1:]))
+        monkeypatch.setattr(core_module.FaceGate, "look", spy_look)
+        monkeypatch.setattr(core_module, "face_solve", spy_face)
+        _, _, info = solve(sub, None)
+        assert len(looks) <= info["iterations"] // _FACE_EVERY
+        held = sum(np.array_equal(a, b)
+                   for (a, _), (b, _) in zip(looks, looks[1:]))
         assert 1 <= len(tries) < held
-        for it, pattern, residual in tries:
-            assert it % every == 0 and it >= 2 * every
-            np.testing.assert_array_equal(pattern, sweeps[it - 1])
-            np.testing.assert_array_equal(pattern, sweeps[it - 1 - every])
-            assert abs(residual - sub.sigma_bar) \
-                <= admm_module._FACE_GAP * sub.sigma_bar
-        patterns = {pattern.tobytes() for _, pattern, _ in tries}
+        for i, pattern in tries:
+            assert i >= 1
+            np.testing.assert_array_equal(pattern, looks[i][0])
+            np.testing.assert_array_equal(pattern, looks[i - 1][0])
+            assert abs(looks[i][1] - sub.sigma_bar) \
+                <= _FACE_GAP * sub.sigma_bar
+        patterns = {pattern.tobytes() for _, pattern in tries}
         assert len(patterns) == len(tries)
 
-    def test_failed_tries_leave_the_sweeps_unchanged(self, monkeypatch,
-                                                     desk_instance):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_failed_tries_leave_the_iterates_unchanged(self, monkeypatch,
+                                                       desk_instance, engine):
         # Failed tries spend product pairs but change no iterate: the solve
-        # ends on the cap's exact check at the same point as one without
-        # face tries.
+        # ends at the same point as one without face tries.
+        solve, _ = get_engine(engine)
         inst, _ = desk_instance
         sub = build_subproblem(inst, inst.least_norm, 0)
         sub.eps_k = -1.0
         N = 400
         monkeypatch.setattr(admm_module, "_MAX_INNER", N)
-        cert, state, info = admm_solve(sub, None)
-        assert info["iterations"] == N and info["exact_checks"] == 1
+        cert, state, info = solve(sub, None)
         assert info["face_accepted"] == 0 and info["face_checks"] >= 1
         assert not cert.criteria_met
-        np.testing.assert_array_equal(state.x, cert.x_tilde)
-        monkeypatch.setattr(admm_module, "face_solve", lambda *args: None)
-        cert_plain, state_plain, _ = admm_solve(sub, None)
-        np.testing.assert_array_equal(state.x, state_plain.x)
-        np.testing.assert_array_equal(state.lam, state_plain.lam)
+        if engine == "admm":
+            assert info["iterations"] == N and info["exact_checks"] == 1
+        monkeypatch.setattr(core_module, "face_solve", lambda *args: None)
+        cert_plain, state_plain, info_plain = solve(sub, None)
+        assert info["iterations"] == info_plain["iterations"]
+        for name, value in vars(state).items():
+            np.testing.assert_array_equal(value, vars(state_plain)[name])
+        np.testing.assert_array_equal(cert.x_tilde, cert_plain.x_tilde)
         assert cert.kkt_residual == cert_plain.kkt_residual
 
     @pytest.mark.parametrize("kind, budget", [(LossKind.TUKEY_BIWEIGHT, 40_000),

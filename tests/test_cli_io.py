@@ -212,6 +212,19 @@ class TestBenchCli:
         assert rc == 2
         assert "unknown engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--scale", "--trials", "--workers"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bench_rejects_counts_below_one(self, tmp_path, capsys, flag,
+                                            value):
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--m", "16", "--n", "48", "--s", "3",
+                  "--engines", "admm", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least 1" in err
+        assert not out.exists()
+
     def test_scale_flag(self, tmp_path, monkeypatch):
         import dir_sparse.cli as cli
         captured = {}

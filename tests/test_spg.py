@@ -1,14 +1,12 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dir_sparse import (DirConfig, LossKind, LossSpec, PenaltySpec,
+from dir_sparse import (DirConfig, LossKind, LossSpec, PenaltySpec, RunStatus,
                         build_subproblem, lambda_max_gram, pareto_newton,
                         project_weighted_l1_ball, retract, run_dir, spg_lasso)
-from dir_sparse import spg as spg_module
-from dir_sparse.core import ProblemInstance, SubproblemData
+from dir_sparse import core as core_module, spg as spg_module
+from dir_sparse.core import ProblemInstance, SubproblemData, face_least_squares
 
 from conftest import make_instance
 
@@ -135,16 +133,22 @@ class TestSpgLasso:
             fp = x - project_weighted_l1_ball(x - g, sub.w, tau)
             assert np.linalg.norm(fp) <= 10 * tol * max(np.linalg.norm(x), 1.0)
 
-    def test_fixed_point_bound_is_the_only_stop(self, desk_instance):
-        # At a tight tol the desk solve meets the fixed-point bound at
-        # iteration 221; no step or gap test may hold the stop back.
+    def test_fixed_point_bound_is_the_only_stop(self, monkeypatch,
+                                                desk_instance):
+        # At a tight tol the desk solve stops at the first iteration that
+        # meets the fixed-point bound: capped one iteration earlier, the
+        # same iterations run and none of them stops.  No step or gap test
+        # may hold the stop back.
         inst, _ = desk_instance
         sub = build_subproblem(inst, inst.least_norm, 0)
         tau, tol = 0.3 * sub.ref_objective, 1e-11
         x, _, iters, conv, _, g = spg_lasso(sub, tau, None, tol=tol)
-        assert conv and iters <= 221
+        assert conv and iters > 1
         fp = x - project_weighted_l1_ball(x - g, sub.w, tau)
         assert np.linalg.norm(fp) <= 10 * tol * max(np.linalg.norm(x), 1.0)
+        monkeypatch.setattr(spg_module, "_MAX_SPG_PER_LASSO", iters - 1)
+        _, _, capped, conv_capped, _, _ = spg_lasso(sub, tau, None, tol=tol)
+        assert capped == iters - 1 and not conv_capped
 
     def test_iterate_feasible(self):
         sub = random_sub(5, 12, seed=6)
@@ -178,57 +182,21 @@ def random_face(seed, m=12, n=30, k=6):
 class TestFaceMinimizer:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_kkt_solution(self, seed):
+        # On the face's plane c . z = tau the minimizer is z_ls - mu h with
+        # mu = (c . z_ls - tau) / (c . h), from face_least_squares.
         sub, support, signs, c_zls = random_face(seed)
         tau = 0.999 * c_zls
         z_kkt, mu = face_kkt(sub, support, signs, tau)
         assert mu > 0 and np.array_equal(np.sign(z_kkt), signs)
-        z = spg_module._face_minimizer(sub, support, signs, tau)
+        c, z_ls, h, _ = face_least_squares(sub, support, signs)
+        z = z_ls - (float(c @ z_ls) - tau) / float(c @ h) * h
         np.testing.assert_allclose(z, z_kkt, rtol=1e-10)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_sign_flips_truncated_into_ball(self, seed):
-        # The face minimizer flips a sign; those entries are zeroed and the
-        # rest is scaled onto the ball.
-        sub, support, signs, c_zls = random_face(seed)
-        tau = 0.02 * c_zls
-        z_kkt, mu = face_kkt(sub, support, signs, tau)
-        flipped = np.sign(z_kkt) != signs
-        assert mu > 0 and flipped.any()
-        z = spg_module._face_minimizer(sub, support, signs, tau)
-        assert z is not None
-        assert np.all((np.sign(z) == signs) | (z == 0.0))
-        np.testing.assert_array_equal(z[flipped], 0.0)
-        assert float(np.abs(sub.w[support] * z).sum()) <= tau * (1 + 1e-14)
-        kept = np.where(flipped, 0.0, z_kkt)
-        c = sub.w[support] * signs
-        np.testing.assert_allclose(z, kept * (tau / float(c @ kept)),
-                                   rtol=1e-9, atol=1e-12 * tau)
-
-    def test_none_when_ball_does_not_bind(self):
-        sub, support, signs, c_zls = random_face(0)
-        assert spg_module._face_minimizer(sub, support, signs, 1.1 * c_zls) is None
 
     @pytest.mark.parametrize("k", [12, 13])
     def test_none_when_support_fills_rows(self, k):
         sub = random_sub(12, 30, seed=0)
         support = np.arange(k)
-        assert spg_module._face_minimizer(sub, support, np.ones(k), 1.0) is None
-
-    def test_desk_solve_takes_face_steps(self, desk_instance):
-        inst, _ = desk_instance
-        sub = build_subproblem(inst, inst.least_norm, 0)
-        stats = {"face_steps": 0, "face_s": 0.0}
-        _, _, iters, conv, _, _ = spg_lasso(sub, 0.3 * sub.ref_objective, None,
-                                            stats=stats)
-        assert conv and iters >= 200
-        assert stats["face_steps"] > 0 and stats["face_s"] > 0.0
-
-    def test_history_counts_face_truncations(self, desk_instance):
-        inst, _ = desk_instance
-        res = run_dir(inst, DirConfig(engine="spg-blackbox"))
-        for rec in res.history:
-            assert 0 <= rec["face_truncations"] <= rec["face_steps"]
-        assert sum(rec["face_truncations"] for rec in res.history) > 0
+        assert face_least_squares(sub, support, np.ones(k)) is None
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.floats(1e-3, 1.2),
@@ -238,8 +206,7 @@ class TestFaceMinimizer:
     @example(seed=31929, m=2, fraction=0.125, warm=False)
     @example(seed=5673, m=2, fraction=0.026071855930396164, warm=False)
     def test_iterates_stay_in_ball(self, seed, m, fraction, warm):
-        # Random row scalings v and weights w; with one iteration of wait,
-        # face steps are tried all along.
+        # Random row scalings v and weights w.
         rng = np.random.default_rng(seed)
         n = 3 * m
         A = rng.standard_normal((m, n))
@@ -254,9 +221,8 @@ class TestFaceMinimizer:
         sub = SubproblemData(instance=inst, x_k=x_ls, w=w, v=v, b_w=b_w,
                              sigma_k=1.0, eps_k=1e-6, mu_k=0.5, tau_k=1e-6)
         tau = fraction * float(np.abs(w * x_ls).sum())
-        with mock.patch.object(spg_module, "_FACE_WAIT", 1):
-            x, _, _, _, _, _ = spg_lasso(sub, tau,
-                                         (x_ls, None, None) if warm else None)
+        x, _, _, _, _, _ = spg_lasso(sub, tau,
+                                     (x_ls, None, None) if warm else None)
         assert float(np.abs(w * x).sum()) <= tau * (1 + 1e-12)
 
 
@@ -332,7 +298,9 @@ class TestParetoNewton:
     @pytest.mark.parametrize("mode", ["certified", "blackbox"])
     def test_newton_step_spends_no_product(self, monkeypatch, desk_instance, mode):
         # Outside the LASSO solves only the rmatvec of the point at tau = 0;
-        # the certificates read the g each solve returns.
+        # the certificates read the g each solve returns.  No face answer,
+        # so the Newton steps build the certificate.
+        monkeypatch.setattr(core_module, "face_solve", lambda *args: None)
         calls = []
         for name in ("matvec", "rmatvec"):
             def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
@@ -524,7 +492,7 @@ class TestInexactNewton:
     def test_certificate_never_from_a_stopped_solve(self, monkeypatch,
                                                     desk_instance, mode):
         # No face answer, so the warm solve runs the Newton steps.
-        monkeypatch.setattr(spg_module, "face_solve", lambda *args: None)
+        monkeypatch.setattr(core_module, "face_solve", lambda *args: None)
         solves = self._record_solves(monkeypatch)
         inst, _ = desk_instance
         sub = build_subproblem(inst, inst.least_norm, 0)
@@ -578,56 +546,23 @@ class TestInexactNewton:
             np.testing.assert_array_equal(a, b)
 
     def test_history_counts_stops_and_face_rejections(self, desk_instance):
+        # The desk's first subproblem is answered on the face its LASSO
+        # iterate settles on, after Newton steps that ended on the target;
+        # every later one on the previous answer's face, with no Newton
+        # step.  Faces are tried only through the gate, so no face-step key
+        # is left.
         inst, _ = desk_instance
         res = run_dir(inst, DirConfig(engine="spg-blackbox"))
+        first, *rest = res.history
+        assert first["face_accepted"] == 1
+        assert 0 < first["pareto_stops"] < first["newton_steps"]
+        assert rest and all(rec["face_accepted"] == 1 for rec in rest)
+        assert all(rec["newton_steps"] == rec["inner_iterations"] == 0
+                   for rec in rest)
         for rec in res.history:
-            if rec["face_accepted"]:
-                assert rec["newton_steps"] == rec["inner_iterations"] == 0
-            else:
-                assert 0 < rec["pareto_stops"] < rec["newton_steps"]
             assert rec["lasso_unconverged"] == 0
-            assert rec["face_rejections"] == 0      # every face tried held
-        assert {rec["face_accepted"] for rec in res.history} == {0, 1}
-        assert sum(rec["face_steps"] for rec in res.history) > 0
-
-
-class TestFaceRejections:
-    def test_each_refusal_counted_and_wait_doubled(self, monkeypatch,
-                                                   desk_instance):
-        # With every face minimizer refused, the tries come after waits of
-        # _FACE_WAIT, 2 _FACE_WAIT, 4 _FACE_WAIT, ... iterations.
-        monkeypatch.setattr(spg_module, "_face_minimizer", lambda *a: None)
-        inst, _ = desk_instance
-        sub = build_subproblem(inst, inst.least_norm, 0)
-        stats = {}
-        _, _, iters, conv, _, _ = spg_lasso(sub, 0.3 * sub.ref_objective, None,
-                                            stats=stats)
-        assert conv and stats["face_steps"] == 0
-        tries = stats["face_rejections"]
-        assert tries > 0
-        assert spg_module._FACE_WAIT * (2 ** tries - 1) <= iters
-
-    def test_non_descent_face_point_refused(self, monkeypatch):
-        # From the exact LASSO optimum x*, the face point 0 (every sign
-        # flipped and zeroed) gives g . (0 - x*) = tau ||g / w||_inf > 0, so
-        # each try is refused and counted, and none is taken.
-        sub = random_sub(12, 40, seed=3)
-        tau = 0.3 * sub.ref_objective
-        x, _, _, conv, r, g = spg_lasso(sub, tau, None, tol=1e-12)
-        assert conv and -float(g @ x) > 0.0
-        tries = []
-
-        def zeroed(sub, support, signs, tau):
-            tries.append(support.size)
-            return np.zeros(support.size)
-
-        monkeypatch.setattr(spg_module, "_face_minimizer", zeroed)
-        monkeypatch.setattr(spg_module, "_FACE_WAIT", 0)
-        stats = {}
-        spg_lasso(sub, tau, (x, r, g), stats=stats)
-        assert tries and tries[0] == np.count_nonzero(x)
-        assert stats["face_rejections"] == len(tries)
-        assert stats["face_steps"] == 0 and stats["face_truncations"] == 0
+            assert not {"face_steps", "face_truncations",
+                        "face_rejections"} & set(rec)
 
 
 class TestCertificate:
@@ -660,3 +595,12 @@ class TestEndToEnd:
             assert err <= 0.02
         assert all(h["criteria_enforced"] for h in res_c.history)
         assert not any(h["criteria_enforced"] for h in res_b.history)
+
+    def test_seed3_tukey_escalations(self):
+        # Certified SPG escalated 39 times on this run when it answered only
+        # on the warm answer's face; answers on the face its LASSO iterate
+        # settles on leave at most a handful.
+        res = run_dir(make_instance(54, 256, 3, LossKind.TUKEY_BIWEIGHT),
+                      DirConfig(engine="spg"))
+        assert res.status is RunStatus.CONVERGED
+        assert sum(rec["escalations"] for rec in res.history) <= 5
