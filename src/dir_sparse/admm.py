@@ -39,8 +39,8 @@ import math
 
 import numpy as np
 
-from .core import _FACE_EVERY, FaceGate, InexactCertificate, \
-    SubproblemData, register_engine
+from .core import FaceGate, InexactCertificate, SubproblemData, \
+    register_engine
 # The benchmark's tracer wraps dir_sparse.admm.retract by that name, so it
 # stays importable here although the certificate retracts in core.
 from .core import retract  # noqa: F401
@@ -268,10 +268,9 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
                 beta *= factor
                 changes += 1
             kkt_window = coupling_window = 0.0
-        if it % _FACE_EVERY == 0 \
-                and gate.look(x, float(np.linalg.norm(Akx - sub.b_w))) \
-                and gate.cert is not None:
-            cert = gate.cert
+        if gate.due(it) and (answer := gate.look(
+                x, float(np.linalg.norm(Akx - sub.b_w)))) is not None:
+            cert = answer
             break
 
     info = {"iterations": it, "best_kkt": best_kkt,

@@ -446,46 +446,51 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
 class FaceGate:
     """The one way an engine tries :func:`face_solve`, for one subproblem.
 
-    :meth:`enter` tries the face of the warm answer.  Mid-solve the engine
-    calls :meth:`look` every ``_FACE_EVERY`` steps with its iterate x and
-    ||A_k x - b_w||; the engine's own iterate settles on the answer's face
+    :meth:`enter` tries the face of the warm answer.  Mid-solve, after each
+    step that :meth:`due` names, the engine calls :meth:`look` with its
+    iterate x and ||A_k x - b_w||; the iterate settles on the answer's face
     long before it meets eps_k (FPC_AS, Wen, Yin, Goldfarb & Zhang 2010).
-    A look tries x when three things hold: its sign pattern equals the
-    previous look's; it was not tried before in this subproblem (face_solve
-    reads only the pattern, so a second try would fail again, and the warm
-    answer's pattern counts as tried); and the residual norm is within
-    ``_FACE_GAP`` * sigma_bar of sigma_bar, the residual norm of every face
-    answer, which keeps the tries away from iterates whose supports are
-    still changing.  A try spends one product pair per checked round and
-    changes no iterate.  ``cert`` holds the last try's certificate, or None;
-    one that is not None answers the subproblem.  face_solve adds its
-    ``face_accepted``, ``face_checks`` and ``face_s`` to ``stats``.
+    A look tries x when its sign pattern equals the previous look's, was
+    not tried before in this subproblem (face_solve reads only the pattern,
+    and the warm answer's counts as tried), and the residual norm is within
+    ``_FACE_GAP`` * sigma_bar of sigma_bar, as every face answer's is,
+    which keeps tries off iterates whose supports still change.  A try
+    spends one product pair per checked round and changes no iterate.
+    ``tried`` says whether the last look tried; ``cert`` holds the last
+    try's certificate or None; one not None answers the subproblem.
+    face_solve adds its ``face_*`` entries to ``stats``.
     """
 
     def __init__(self, sub: SubproblemData, stats: dict):
         self.sub = sub
         self.stats = stats
         self.cert: Optional[InexactCertificate] = None
-        self._tried = set()
+        self.tried = False
+        self._patterns = set()
         self._looked = None
+
+    @staticmethod
+    def due(step: int) -> bool:
+        """Whether an engine looks after its step number ``step``."""
+        return step % _FACE_EVERY == 0
 
     def enter(self, x_prev: np.ndarray) -> Optional[InexactCertificate]:
         """Try the face of the warm answer ``x_prev``; return ``cert``."""
-        self._tried.add(np.sign(x_prev).tobytes())
+        self._patterns.add(np.sign(x_prev).tobytes())
         self.cert = face_solve(self.sub, x_prev, self.stats)
         return self.cert
 
-    def look(self, x: np.ndarray, rho: float) -> bool:
-        """Look at x, with rho = ||A_k x - b_w||; True when it tried x."""
+    def look(self, x: np.ndarray, rho: float) -> Optional[InexactCertificate]:
+        """Look at x, with rho = ||A_k x - b_w||; return a try's ``cert``."""
         pattern = np.sign(x).tobytes()
         held, self._looked = pattern == self._looked, pattern
         sigma_bar = self.sub.sigma_bar
-        if held and pattern not in self._tried \
-                and abs(rho - sigma_bar) <= _FACE_GAP * sigma_bar:
-            self._tried.add(pattern)
+        self.tried = held and pattern not in self._patterns \
+            and abs(rho - sigma_bar) <= _FACE_GAP * sigma_bar
+        if self.tried:
+            self._patterns.add(pattern)
             self.cert = face_solve(self.sub, x, self.stats)
-            return True
-        return False
+        return self.cert if self.tried else None
 
 
 def stationarity_report(instance: ProblemInstance, x: np.ndarray,

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _FACE_EVERY, FaceGate, InexactCertificate, \
-    SubproblemData, _tally, register_engine
+from .core import FaceGate, InexactCertificate, SubproblemData, _tally, \
+    register_engine
 # The benchmark's tracer wraps dir_sparse.spg.retract by that name, so it
 # stays importable here although the certificate retracts in core.
 from .core import retract  # noqa: F401
@@ -131,11 +131,11 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     without a target the solve is exactly the plain one.
 
     ``_gate``, the subproblem's :class:`~dir_sparse.core.FaceGate` passed
-    by :func:`pareto_newton`, is shown x and ||r|| after every
-    ``_FACE_EVERY``-th iteration.  After a failed face try the next 1, 3,
-    7, ... looks are skipped, since each try costs a QR of the face's
-    columns.  A try that answers the subproblem ends the solve, and the
-    answer is ``_gate.cert``.  Without a gate no face is tried.
+    by :func:`pareto_newton`, is shown x and ||r|| after each iteration
+    it says is due.  After a failed face try the next 1, 3, 7, ... looks
+    are skipped, since each try costs a QR of the face's columns.  A try
+    that answers the subproblem ends the solve, and the answer is
+    ``_gate.cert``.  Without a gate no face is tried.
 
     When ``stats`` is a dict, ``"pareto_stops"`` is incremented, counting
     from 0 when absent, when the target ended the solve.
@@ -197,13 +197,13 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             alpha = _ALPHA_MAX
         x, r, g = x + dx, r_new, g_new
         recent.append(f_new)
-        if _gate is not None and it % _FACE_EVERY == 0:
+        if _gate is not None and _gate.due(it):
             if skip:
                 skip -= 1
-            elif _gate.look(x, math.sqrt(2.0 * f_new)):
-                if _gate.cert is not None:
-                    converged = True
-                    break
+            elif _gate.look(x, math.sqrt(2.0 * f_new)) is not None:
+                converged = True
+                break
+            elif _gate.tried:
                 misses += 1
                 skip = 2 ** misses - 1
         if _target is not None:

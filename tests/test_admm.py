@@ -6,7 +6,8 @@ import pytest
 from dir_sparse import (AdmmState, DirConfig, LossKind, LossSpec, PenaltySpec,
                         RunStatus, admm_solve, admm_step, build_subproblem,
                         retract, run_dir)
-from dir_sparse import admm as admm_module, core as core_module
+from dir_sparse import admm as admm_module, core as core_module, \
+    spg as spg_module
 from dir_sparse.admm import _ball_multiplier
 from dir_sparse.core import (_FACE_EVERY, _FACE_GAP, ProblemInstance,
                              SubproblemData, get_engine)
@@ -489,43 +490,113 @@ class TestMidSolveFace:
             else make_instance(54, 256, 3, kind)
         sub = build_subproblem(inst, inst.least_norm, 0)
         sub.eps_k = -1.0
-        monkeypatch.setattr(admm_module, "_MAX_INNER", 400)
-        # Each look as (sign pattern of x, ||A_k x - b_w|| it was given),
-        # and each try as (index of its look, sign pattern of its x).
-        looks, tries = [], []
+        every, N = _FACE_EVERY, 400
+        monkeypatch.setattr(admm_module, "_MAX_INNER", N)
+        # The sign pattern after each ADMM sweep; each look as (sweeps
+        # taken so far, sign pattern of its x, ||A_k x - b_w|| it was
+        # given); each try as (index of its look, sign pattern of its x).
+        sweeps, looks, tries = [], [], []
+        advance = admm_module._advance
         look = core_module.FaceGate.look
         face_solve = core_module.face_solve
+
+        def spy_advance(*args):
+            out = advance(*args)
+            sweeps.append(np.sign(out[0]))
+            return out
 
         def spy_look(gate, x, rho):
             residual = sub.v * (sub.instance.A @ x) - sub.b_w
             assert rho == pytest.approx(np.linalg.norm(residual), rel=1e-9)
-            looks.append((np.sign(x), rho))
+            looks.append((len(sweeps), np.sign(x), rho))
             return look(gate, x, rho)
 
         def spy_face(sub, x, stats=None):
             tries.append((len(looks) - 1, np.sign(x)))
             return face_solve(sub, x, stats)
+        monkeypatch.setattr(admm_module, "_advance", spy_advance)
         monkeypatch.setattr(core_module.FaceGate, "look", spy_look)
         monkeypatch.setattr(core_module, "face_solve", spy_face)
-        _, _, info = solve(sub, None)
-        assert len(looks) <= info["iterations"] // _FACE_EVERY
+        _, state, info = solve(sub, None)
+        if engine == "admm":
+            # A look after every _FACE_EVERY-th sweep, at that sweep's own
+            # iterate, and none skipped.
+            assert info["iterations"] == N
+            assert [it for it, _, _ in looks] == list(range(every, N + 1,
+                                                            every))
+            for it, pattern, _ in looks:
+                np.testing.assert_array_equal(pattern, sweeps[it - 1])
+        else:
+            assert not sweeps
+            assert len(looks) <= info["iterations"] // every
         held = sum(np.array_equal(a, b)
-                   for (a, _), (b, _) in zip(looks, looks[1:]))
+                   for (_, a, _), (_, b, _) in zip(looks, looks[1:]))
         assert 1 <= len(tries) < held
         for i, pattern in tries:
             assert i >= 1
-            np.testing.assert_array_equal(pattern, looks[i][0])
-            np.testing.assert_array_equal(pattern, looks[i - 1][0])
-            assert abs(looks[i][1] - sub.sigma_bar) \
+            np.testing.assert_array_equal(pattern, looks[i][1])
+            np.testing.assert_array_equal(pattern, looks[i - 1][1])
+            assert abs(looks[i][2] - sub.sigma_bar) \
                 <= _FACE_GAP * sub.sigma_bar
         patterns = {pattern.tobytes() for _, pattern in tries}
         assert len(patterns) == len(tries)
+
+    def test_spg_skips_looks_after_failed_tries(self, monkeypatch,
+                                                desk_instance):
+        # Within one LASSO solve, the j-th failed try makes spg_lasso skip
+        # the next 2**j - 1 looks the gate names due; a new solve starts
+        # with none to skip.  With eps_k = -1 every try fails.
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        sub.eps_k = -1.0
+        events = []
+        due = core_module.FaceGate.due
+        look = core_module.FaceGate.look
+        face_solve = core_module.face_solve
+        lasso = spg_module.spg_lasso
+
+        def spy_due(step):
+            if due(step):
+                events.append("due")
+                return True
+            return False
+
+        def spy_look(gate, x, rho):
+            events.append("look")
+            return look(gate, x, rho)
+
+        def spy_face(sub, x, stats=None):
+            events.append("try")
+            return face_solve(sub, x, stats)
+
+        def spy_lasso(*args, **kwargs):
+            events.append("solve")
+            return lasso(*args, **kwargs)
+        monkeypatch.setattr(core_module.FaceGate, "due", staticmethod(spy_due))
+        monkeypatch.setattr(core_module.FaceGate, "look", spy_look)
+        monkeypatch.setattr(core_module, "face_solve", spy_face)
+        monkeypatch.setattr(spg_module, "spg_lasso", spy_lasso)
+        _, _, info = get_engine("spg")[0](sub, None)
+        assert info["face_accepted"] == 0
+        misses = skip = skipped = 0
+        for event, after in zip(events, events[1:] + [None]):
+            if event == "solve":
+                misses = skip = 0
+            elif event == "due":
+                assert (after == "look") is (skip == 0)
+                skipped += skip > 0
+                skip = max(skip - 1, 0)
+            elif event == "try":
+                misses += 1
+                skip = 2 ** misses - 1
+        assert events.count("try") >= 2 and skipped >= 1
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_failed_tries_leave_the_iterates_unchanged(self, monkeypatch,
                                                        desk_instance, engine):
         # Failed tries spend product pairs but change no iterate: the solve
-        # ends at the same point as one without face tries.
+        # ends at the same point as one without face tries, and the
+        # certificate is the returned state's point.
         solve, _ = get_engine(engine)
         inst, _ = desk_instance
         sub = build_subproblem(inst, inst.least_norm, 0)
@@ -537,6 +608,9 @@ class TestMidSolveFace:
         assert not cert.criteria_met
         if engine == "admm":
             assert info["iterations"] == N and info["exact_checks"] == 1
+            np.testing.assert_array_equal(state.x, cert.x_tilde)
+        else:
+            assert state.x_lasso is cert.x_tilde
         monkeypatch.setattr(core_module, "face_solve", lambda *args: None)
         cert_plain, state_plain, info_plain = solve(sub, None)
         assert info["iterations"] == info_plain["iterations"]

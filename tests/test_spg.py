@@ -599,8 +599,12 @@ class TestEndToEnd:
     def test_seed3_tukey_escalations(self):
         # Certified SPG escalated 39 times on this run when it answered only
         # on the warm answer's face; answers on the face its LASSO iterate
-        # settles on leave at most a handful.
+        # settles on leave at most a handful.  They cost passes here,
+        # though: 29,799 against 24,089 with the LASSO face steps they
+        # replaced, and the budget holds that loss from growing.
         res = run_dir(make_instance(54, 256, 3, LossKind.TUKEY_BIWEIGHT),
                       DirConfig(engine="spg"))
         assert res.status is RunStatus.CONVERGED
         assert sum(rec["escalations"] for rec in res.history) <= 5
+        assert sum(rec["matvec_calls"] + rec["rmatvec_calls"]
+                   for rec in res.history) <= 31_000
