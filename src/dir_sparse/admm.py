@@ -63,7 +63,12 @@ _ADAPT_MAX = 20
 
 @dataclass
 class AdmmState:
-    """Primal pair and multiplier carried across warm-started solves."""
+    """Primal pair and multiplier carried across warm-started solves.
+
+    Unlike SPG's first LASSO start, the whole state pays after a failed
+    face try: a cold (x, u, lam) took paper seed 0 from 2192 to 3625
+    passes, and a cold (u, lam) robust-cli from 946 to 1030 per solve.
+    """
 
     x: np.ndarray
     u: np.ndarray

@@ -334,6 +334,27 @@ def _tally(stats: Optional[dict], key: str, amount) -> None:
         stats[key] = stats.get(key, 0) + amount
 
 
+def sphere_certificate(sub: SubproblemData, x: np.ndarray, res: np.ndarray,
+                       q: np.ndarray, lam: float) -> InexactCertificate:
+    """Certificate of x whose ball variable is its residual on the sphere.
+
+    ``res`` = A_k x - b_w and ``q`` = A_k^T res; ``lam`` is the LASSO
+    multiplier, or a face answer's t, with q = -lam w o sign(x) on the
+    support at an exact answer.  u = (sigma_bar / rho) res, rho = ||res||,
+    so the coupling residual is | rho - sigma_bar | and A_k^T u costs no
+    product; the multiplier rho / (sigma_bar lam) makes the KKT inclusion,
+    measured on multiplier * A_k^T u, exact at an exact answer.
+    """
+    rho = float(np.linalg.norm(res))
+    sigma_bar = sub.sigma_bar
+    scale = sigma_bar / rho if rho > 0.0 else 0.0
+    mult = rho / (sigma_bar * lam) if lam > 0.0 else 0.0
+    return InexactCertificate(
+        sub, x, res, u_tilde=scale * res, multiplier=mult,
+        kkt_residual=l1_kkt_distance(x, sub.w, (mult * scale) * q),
+        coupling_residual=abs(rho - sigma_bar))
+
+
 def face_least_squares(sub: SubproblemData, support: np.ndarray,
                        signs: np.ndarray):
     """Least squares on the face {supp(z) in support, sign(z) = signs}.
@@ -372,8 +393,8 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
     (:func:`face_least_squares`, Osborne, Presnell & Turlach 2000; FPC_AS,
     Wen, Yin, Goldfarb & Zhang 2010).  When rho2 < sigma_k its answer is
     z = z_ls - t h with t = sqrt((sigma_k - rho2) / c . h): its residual
-    r = M z - b_w has norm sigma_bar and M^T r = -t c, so the subproblem
-    multiplier is 1 / t.
+    r = M z - b_w has norm sigma_bar and M^T r = -t c, so t plays the
+    LASSO multiplier's part in :func:`sphere_certificate`.
 
     ``x_prev`` is an engine's previous answer or its current iterate, and
     every engine calls this through :class:`FaceGate`; only its sign
@@ -384,9 +405,7 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
     ``matvec`` forms r and one ``rmatvec`` q = A_k^T r; the off-support
     entries with |q_j| > t w_j violate the optimality conditions, and the
     worst max(1, |S| // 10) of them join S with the signs -sign(q_j).
-    Without such an entry the certificate is built from r: u_tilde is r
-    scaled onto the sphere of radius sigma_bar, and the KKT residual is
-    measured on q / t.
+    Without such an entry the certificate is built from r and q.
 
     Returns that certificate when its ``criteria_met`` holds, and None when
     it fails, when S empties or fills m columns, when rho2 >= sigma_k (no
@@ -427,12 +446,7 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
             support = np.concatenate((support, worst))
             signs = np.concatenate((signs, -np.sign(q[worst])))
             continue
-        rho = float(np.linalg.norm(res))
-        candidate = InexactCertificate(
-            sub, x, res, u_tilde=(sub.sigma_bar / rho) * res,
-            multiplier=1.0 / t,
-            kkt_residual=l1_kkt_distance(x, sub.w, q / t),
-            coupling_residual=abs(rho - sub.sigma_bar))
+        candidate = sphere_certificate(sub, x, res, q, t)
         # Plain code, so that python -O keeps the check.
         if candidate.criteria_met:
             cert = candidate

@@ -10,7 +10,7 @@ iteration spends one projection, one product A_k d and one product
 A_k^T r.  It stops on the bound ||d|| max(1, 1/alpha) on the unit-step
 fixed-point residual and returns the exact point (x, r = b_w - A_k x,
 g = -A_k^T r), which starts the next solve and certifies the answer at no
-further product.
+further product (:func:`~dir_sparse.core.sphere_certificate`).
 The root is tracked by safeguarded Newton steps using the dual-norm
 slope phi'(tau) = -||g / w||_inf / ||r||.  The Newton steps are inexact,
 as in SPGL1 (van den Berg & Friedlander 2008, section 3): the duality gap
@@ -24,7 +24,8 @@ A warm solve first tries the closed-form answer on the face of the
 previous answer (:func:`~dir_sparse.core.face_solve`), at one QR and one
 product pair per round, usually one round.  When that answer meets the
 certificate, in either mode, it is returned with no Newton step and no
-LASSO iteration; otherwise the Newton steps run as above.  The LASSO
+LASSO iteration; otherwise the Newton steps run as above, from tau = 0,
+since a start from that answer saves no pass once its face fails.  The LASSO
 iterate settles on the answer's face long before the root is found
 (FPC_AS, Wen, Yin, Goldfarb & Zhang 2010), so every ``_FACE_EVERY``
 iterations it is shown to the subproblem's
@@ -45,11 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FaceGate, InexactCertificate, SubproblemData, _tally, \
-    register_engine
+    register_engine, sphere_certificate
 # The benchmark's tracer wraps dir_sparse.spg.retract by that name, so it
 # stays importable here although the certificate retracts in core.
 from .core import retract  # noqa: F401
-from .linalg import l1_kkt_distance, project_weighted_l1_ball
+from .linalg import project_weighted_l1_ball
 
 _TINY = np.finfo(float).tiny
 # Barzilai-Borwein step bounds, Armijo constant, nonmonotone memory and
@@ -72,7 +73,7 @@ _MAX_ESCALATIONS = 7
 
 @dataclass
 class SpgState:
-    """Root-finding state carried across warm-started solves."""
+    """The answer ``x_lasso`` at ``tau``; a warm solve reads only its face."""
 
     tau: float
     x_lasso: np.ndarray
@@ -99,10 +100,10 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     """Approximately minimize 0.5 ||A_k x - b_w||^2 over ||w o x||_1 <= tau.
 
     ``start`` is an exact point ``(x, r, g)`` as returned here, or
-    ``(x, None, None)``, or ``None`` for the origin (one ``rmatvec``).  A
-    start that the projection onto the ball returns unchanged keeps its r
-    and g and spends no product; any other is projected, and its r and g
-    cost one product each way.  At tau = 0 that point is returned.
+    ``None`` for the origin (one ``rmatvec``).  A start that the projection
+    onto the ball returns unchanged keeps its r and g and spends no
+    product; any other is projected, and its r and g cost one product each
+    way.  At tau = 0 that point is returned.
 
     Projected gradient iterations with BB step sizes alpha clamped to
     [_ALPHA_MIN, _ALPHA_MAX].  Each iteration projects once, for the
@@ -159,8 +160,8 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
         x, r, g = _exact_point(sub, np.zeros(n))
     else:
         x, r, g = start
-        x_in = project_weighted_l1_ball(np.asarray(x, dtype=float), w, tau)
-        if r is None or not np.array_equal(x_in, x):
+        x_in = project_weighted_l1_ball(x, w, tau)
+        if not np.array_equal(x_in, x):
             x, r, g = _exact_point(sub, x_in)
     if tau == 0.0:
         return x, 0.0, 0, True, r, g
@@ -234,28 +235,6 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     return x, lam, it, converged, r, g
 
 
-def _certificate(sub: SubproblemData, x, r, g, lasso_multiplier):
-    """Assemble the inexact certificate at the exact LASSO point (x, r, g).
-
-    The ball variable u is the projection of A_k x - b_w onto the sphere of
-    radius sigma_bar, so the coupling residual is exactly
-    | ||A_k x - b_w|| - sigma_bar | and A_k^T u = (sigma_bar / rho) g costs
-    no product.  The subproblem multiplier rescales the reciprocal LASSO
-    multiplier by rho / sigma_bar, which makes the KKT inclusion
-    algebraically exact at an exact LASSO optimum.
-    """
-    res = -r
-    rho = float(np.linalg.norm(res))
-    sigma_bar = sub.sigma_bar
-    scale = sigma_bar / rho if rho > 0.0 else 0.0
-    mult = (rho / (sigma_bar * lasso_multiplier) if lasso_multiplier > 0.0
-            else 0.0)
-    return InexactCertificate(
-        sub, x, res, u_tilde=scale * res, multiplier=mult,
-        kkt_residual=l1_kkt_distance(x, sub.w, (mult * scale) * g),
-        coupling_residual=abs(rho - sigma_bar))
-
-
 def _face_answer(sub: SubproblemData, cert: InexactCertificate, info: dict):
     """The return for a face answer z: state tau = ||w o z||_1, x_lasso = z."""
     x = cert.x_tilde
@@ -272,7 +251,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     iterates tau <- tau + (sigma_bar - phi) / phi' with the dual-norm
     slope, safeguarded by bisection once the root is bracketed.  Each
     LASSO solve starts from the exact point (x, r, g) the previous one
-    returned (at tau = 0, from the warm state's solution), and phi(tau),
+    returned, the first from the point at tau = 0, and phi(tau),
     the slope -||g / w||_inf / phi and the certificate are read from it,
     so a Newton step spends no product beyond its LASSO solve.
 
@@ -285,10 +264,10 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     the tightened root_tol.
 
     One :class:`~dir_sparse.core.FaceGate` serves the subproblem.  A warm
-    solve first tries the face of ``warm.x_lasso`` through it, and every
-    LASSO solve shows it its iterate (see :func:`spg_lasso`).  A
-    certificate from either try is the answer, in both modes, and the state
-    is tau = ||w o z||_1 and x_lasso = z.
+    solve first tries the face of ``warm.x_lasso`` through it, the only
+    read of ``warm``, and every LASSO solve shows it its iterate (see
+    :func:`spg_lasso`).  A certificate from either try is the answer, in
+    both modes, and the state is tau = ||w o z||_1 and x_lasso = z.
 
     Returns ``(certificate, state, info)``.  In certified mode the
     certificate bounds are enforced by tightening the LASSO tolerance up
@@ -340,7 +319,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
 
     for _ in range(_MAX_NEWTON):
         if abs(phi - sigma_bar) <= root_tol:
-            cert = _certificate(sub, x, r, g, lasso_multiplier)
+            cert = sphere_certificate(sub, x, -r, g, lasso_multiplier)
             if (not certified or cert.criteria_met
                     or escalations >= _MAX_ESCALATIONS):
                 break
@@ -358,12 +337,10 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
                 tau_next = (0.5 * (tau_lo + tau_hi) if tau_hi < math.inf
                             else max(2.0 * tau, 1.0))
 
-        start = ((warm.x_lasso, None, None) if tau == 0.0 and warm is not None
-                 else (x, r, g))
         # One division, not repeated *= 0.1, whose rounding would end the
         # seventh escalation 3 ulps above 1e-13.
         x, lasso_multiplier, iters, converged, r, g = spg_lasso(
-            sub, tau_next, start, tol=_LASSO_TOL / 10 ** escalations,
+            sub, tau_next, (x, r, g), tol=_LASSO_TOL / 10 ** escalations,
             stats=stats, _target=(sigma_bar, root_tol), _gate=gate)
         total_inner += iters
         lasso_unconverged += not converged
@@ -379,7 +356,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     if gate.cert is not None:
         return _face_answer(sub, gate.cert, info)
     if cert is None or cert.x_tilde is not x:
-        cert = _certificate(sub, x, r, g, lasso_multiplier)
+        cert = sphere_certificate(sub, x, -r, g, lasso_multiplier)
     return cert, SpgState(tau=tau, x_lasso=x), info
 
 

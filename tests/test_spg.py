@@ -221,8 +221,8 @@ class TestFaceMinimizer:
         sub = SubproblemData(instance=inst, x_k=x_ls, w=w, v=v, b_w=b_w,
                              sigma_k=1.0, eps_k=1e-6, mu_k=0.5, tau_k=1e-6)
         tau = fraction * float(np.abs(w * x_ls).sum())
-        x, _, _, _, _, _ = spg_lasso(sub, tau,
-                                     (x_ls, None, None) if warm else None)
+        start = spg_module._exact_point(sub, x_ls) if warm else None
+        x, _, _, _, _, _ = spg_lasso(sub, tau, start)
         assert float(np.abs(w * x).sum()) <= tau * (1 + 1e-12)
 
 
@@ -316,12 +316,12 @@ class TestParetoNewton:
             inside.extend(calls[before:])
             return out
 
-        def certificate(*args, _orig=spg_module._certificate):
+        def certificate(*args, _orig=spg_module.sphere_certificate):
             certificates.append(1)
             return _orig(*args)
 
         monkeypatch.setattr(spg_module, "spg_lasso", lasso)
-        monkeypatch.setattr(spg_module, "_certificate", certificate)
+        monkeypatch.setattr(spg_module, "sphere_certificate", certificate)
         inst, _ = desk_instance
         sub = build_subproblem(inst, inst.least_norm, 0)
         _, _, info = pareto_newton(sub, None, mode)
@@ -344,12 +344,34 @@ class TestParetoNewton:
         sub = build_subproblem(inst, inst.least_norm, 0)
         cert, state, _ = pareto_newton(sub, None, mode)
         pareto_newton(build_subproblem(inst, cert.x_next, 1), state, mode)
-        carried = [(sub, start) for sub, start in starts
-                   if start is not None and start[1] is not None]
-        assert len(carried) >= len(starts) - 1 > 0
-        for sub, (x, r, g) in carried:
+        assert starts and all(start is not None for _, start in starts)
+        for sub, (x, r, g) in starts:
             np.testing.assert_array_equal(r, sub.b_w - sub.matvec(x))
             np.testing.assert_array_equal(g, -sub.rmatvec(r))
+
+    @pytest.mark.parametrize("mode", ["certified", "blackbox"])
+    def test_warm_search_starts_at_origin(self, monkeypatch, desk_instance,
+                                          mode):
+        # The warm state is read only by the face try at entry; when that
+        # try fails, the Newton search starts from the point at tau = 0.
+        inst, _ = desk_instance
+        cert, state, _ = pareto_newton(
+            build_subproblem(inst, inst.least_norm, 0), None, mode)
+        assert state.x_lasso.any()
+        monkeypatch.setattr(core_module, "face_solve", lambda *args: None)
+        starts = []
+
+        def lasso(sub, tau, start=None, _orig=spg_module.spg_lasso, **kwargs):
+            starts.append(start)
+            return _orig(sub, tau, start, **kwargs)
+
+        monkeypatch.setattr(spg_module, "spg_lasso", lasso)
+        sub = build_subproblem(inst, cert.x_next, 1)
+        pareto_newton(sub, state, mode)
+        x, r, g = starts[0]
+        np.testing.assert_array_equal(x, 0.0)
+        np.testing.assert_array_equal(r, sub.b_w)
+        np.testing.assert_array_equal(g, -sub.rmatvec(sub.b_w))
 
     def test_blackbox_records_without_enforcing(self, monkeypatch):
         # a sloppy tolerance fails the certificate bounds; blackbox mode must
@@ -578,10 +600,35 @@ class TestCertificate:
                 calls.append(_name)
                 return _orig(self, z)
             monkeypatch.setattr(SubproblemData, name, counted)
-        cert = spg_module._certificate(sub, x, r, g, lam)
+        cert = spg_module.sphere_certificate(sub, x, -r, g, lam)
         assert calls == []
         assert cert.descent_ok == want_descent
         np.testing.assert_array_equal(cert.x_next, retract(sub, x))
+
+    def test_face_answer_agrees_with_its_lasso_view(self, desk_instance):
+        # The desk's second subproblem is answered on the warm answer's
+        # face, certified with lam = t.  The LASSO view of that answer z,
+        # its exact point and the unit-step projection multiplier at
+        # tau = ||w o z||_1, must give the same certificate.  Both KKT
+        # residuals sit at rounding level (about 5e-13), below pytest's
+        # default absolute floor of 1e-12.
+        inst, _ = desk_instance
+        cert, state, _ = pareto_newton(
+            build_subproblem(inst, inst.least_norm, 0), None, "certified")
+        sub = build_subproblem(inst, cert.x_next, 1)
+        face = core_module.face_solve(sub, state.x_lasso)
+        assert face is not None
+        z, r, g = spg_module._exact_point(sub, face.x_tilde)
+        y = z - g
+        tau = float(np.abs(sub.w * z).sum())
+        lam = spg_module._projection_multiplier(
+            y, project_weighted_l1_ball(y, sub.w, tau), sub.w)
+        view = core_module.sphere_certificate(sub, z, -r, g, lam)
+        assert view.multiplier == pytest.approx(face.multiplier, rel=1e-9)
+        assert view.kkt_residual == pytest.approx(face.kkt_residual,
+                                                  rel=1e-9, abs=1e-12)
+        assert view.coupling_residual == face.coupling_residual
+        np.testing.assert_array_equal(view.u_tilde, face.u_tilde)
 
 
 class TestEndToEnd:
@@ -600,7 +647,7 @@ class TestEndToEnd:
         # Certified SPG escalated 39 times on this run when it answered only
         # on the warm answer's face; answers on the face its LASSO iterate
         # settles on leave at most a handful.  They cost passes here,
-        # though: 29,799 against 24,089 with the LASSO face steps they
+        # though: 30,069 against 24,089 with the LASSO face steps they
         # replaced, and the budget holds that loss from growing.
         res = run_dir(make_instance(54, 256, 3, LossKind.TUKEY_BIWEIGHT),
                       DirConfig(engine="spg"))
@@ -608,3 +655,16 @@ class TestEndToEnd:
         assert sum(rec["escalations"] for rec in res.history) <= 5
         assert sum(rec["matvec_calls"] + rec["rmatvec_calls"]
                    for rec in res.history) <= 31_000
+
+    @pytest.mark.parametrize("kind, budget", [
+        (LossKind.CAUCHY, 7283), (LossKind.GEMAN_MCCLURE, 4658),
+        (LossKind.WELSH, 4667), (LossKind.PSEUDO_HUBER, 4612),
+        (LossKind.HUBER, 5917)])
+    def test_seed3_pass_budget(self, kind, budget):
+        # The measured 6936, 4436, 4444, 4392 and 5635 passes plus 5%.  No
+        # benchmark workload runs certified SPG on these instances, so a
+        # rise of the face-step loss on them shows only here.
+        res = run_dir(make_instance(54, 256, 3, kind), DirConfig(engine="spg"))
+        assert res.status is RunStatus.CONVERGED
+        assert sum(rec["matvec_calls"] + rec["rmatvec_calls"]
+                   for rec in res.history) <= budget
