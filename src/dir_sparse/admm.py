@@ -6,15 +6,12 @@ a proximal-linearized step (soft thresholding), the u update a Euclidean
 ball projection, and the multiplier update a scaled residual step.  All
 products with the scaled matrix are applied implicitly.
 
-A warm solve first tries the closed-form answer on the face of the
-previous answer (:func:`~dir_sparse.core.face_solve`), at one QR and one
-product pair per round, usually one round.  When that answer meets the
-certificate no sweep is run; otherwise the sweeps start from the warm
-state.  The sweeps' own iterate settles on the answer's face long before
-they meet eps_k (FPC_AS, Wen, Yin, Goldfarb & Zhang 2010, SIAM J. Sci.
-Comput. 32(4)), so every ``_FACE_EVERY`` sweeps it is shown to the
-subproblem's :class:`~dir_sparse.core.FaceGate`, the same gate the SPG
-engine uses, which tries a pattern that held since the last look.
+Each subproblem's closed-form face answers
+(:func:`~dir_sparse.core.face_solve`) are tried by its
+:class:`~dir_sparse.core.FaceGate`, which the SPG engine uses too: on
+the previous answer's face when it is made, then on the sweeps' iterates
+(its docstring has the rules).  A face answer at warm entry runs no
+sweep; otherwise the sweeps start from the warm state.
 
 A sweep of :func:`admm_solve` costs two products with A_k, one ``matvec``
 and one ``rmatvec``.  The optimality surrogate is carried by recurrence
@@ -183,38 +180,33 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
     solve.  q does not depend on beta, and p and g = q - p are rescaled in
     place, so a change spends no product.
 
-    One :class:`~dir_sparse.core.FaceGate` serves the solve.  A warm solve
-    first tries the face of ``warm.x`` through it.  When that returns a
-    certificate, that is the answer, with no sweep, and the state is
-    x = z, u = u_tilde and the face's exact multiplier lam = -u_tilde / t
-    (A_k^T lam = w o sign(z) on the support).  Every ``_FACE_EVERY`` sweeps
-    the gate looks at x with the ||A_k x - b_w|| in hand, and may try its
-    face; a certificate from that try ends the solve with the same state
-    as at warm entry, and a failed try changes no iterate.
+    The subproblem's :class:`~dir_sparse.core.FaceGate` is made on
+    ``warm.x``, or on None cold, and looks at x, with the ||A_k x - b_w||
+    in hand, after each sweep it says is due.  Its ``cert``, when not
+    None, is the answer, with no further sweep, and the state is x = z,
+    u = u_tilde and the face's exact multiplier lam = -u_tilde / t
+    (A_k^T lam = w o sign(z) on the support).
 
     Returns ``(certificate, state, info)`` where ``info`` carries the
     iteration count, the trajectory minimum of the optimality surrogate
     and its sweep, the number of exact checks, the number of penalty
-    changes, the final ``beta_scale`` = beta * Lbar**0.5, and the face
-    tries' ``face_accepted``, ``face_checks`` and ``face_s``; on a face
-    answer at warm entry every entry but those three is 0, and on one
-    between sweeps the others describe the sweeps taken.  After
+    changes, the final ``beta_scale`` = beta * Lbar**0.5, and the gate's
+    ``stats``; on a face answer at warm entry every other entry is 0, and
+    on one between sweeps they describe the sweeps taken.  After
     ``_MAX_INNER`` sweeps the certificate of the last iterate is returned,
     whether it passes or not.
     """
     n = sub.w.shape[0]
     m = sub.b_w.shape[0]
-    face = {"face_accepted": 0, "face_checks": 0, "face_s": 0.0}
-    gate = FaceGate(sub, face)
+    gate = FaceGate(sub, None if warm is None else warm.x)
+    if gate.cert is not None:
+        return _face_answer(gate.cert, {
+            "iterations": 0, "best_kkt": 0.0, "best_kkt_iter": 0,
+            "exact_checks": 0, "penalty_changes": 0, "beta_scale": 0.0,
+            **gate.stats})
     if warm is None:
         x, u, lam = np.zeros(n), np.zeros(m), np.zeros(m)
     else:
-        cert = gate.enter(warm.x)
-        if cert is not None:
-            return _face_answer(cert, {
-                "iterations": 0, "best_kkt": 0.0, "best_kkt_iter": 0,
-                "exact_checks": 0, "penalty_changes": 0, "beta_scale": 0.0,
-                **face})
         x, u, lam = warm.x.copy(), warm.u.copy(), warm.lam.copy()
 
     L_bar, beta0 = _scaling(sub)
@@ -273,17 +265,16 @@ def admm_solve(sub: SubproblemData, warm: AdmmState | None = None):
                 beta *= factor
                 changes += 1
             kkt_window = coupling_window = 0.0
-        if gate.due(it) and (answer := gate.look(
-                x, float(np.linalg.norm(Akx - sub.b_w)))) is not None:
-            cert = answer
+        if gate.due(it) and gate.look(
+                x, float(np.linalg.norm(Akx - sub.b_w))) is not None:
             break
 
     info = {"iterations": it, "best_kkt": best_kkt,
             "best_kkt_iter": best_kkt_iter, "exact_checks": exact_checks,
             "penalty_changes": changes, "beta_scale": beta / beta0,
-            **face}
-    if face["face_accepted"]:
-        return _face_answer(cert, info)
+            **gate.stats}
+    if gate.cert is not None:
+        return _face_answer(gate.cert, info)
     return cert, AdmmState(x=x, u=u, lam=lam), info
 
 

@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default %(default)s)")
     solve.add_argument("--tol", type=float, default=DirConfig.outer_tol,
                        help="outer relative-step tolerance (default %(default)s)")
-    solve.add_argument("--max-outer", type=int, default=DirConfig.max_outer)
+    solve.add_argument("--max-outer", type=_positive_int,
+                       default=DirConfig.max_outer)
     solve.add_argument("--out", required=True, help="result JSON path")
     solve.add_argument("--history", help="optional per-iteration JSONL path")
 
@@ -71,24 +72,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engines_known(names) -> bool:
-    """Report the first unregistered engine name on stderr; False if any."""
-    try:
-        for name in names:
-            get_engine(name)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return False
-    return True
+def _solve_inputs(args):
+    """The solve's loss and penalty; ValueError names a bad argument."""
+    get_engine(args.engine)
+    return LossSpec(args.loss, args.delta), PenaltySpec(args.penalty_eps)
 
 
-def _cmd_solve(args) -> int:
-    if not _engines_known([args.engine]):
-        return 2
+def _bench_inputs(args):
+    """The bench's instance spec and engines; ValueError names a bad one."""
+    if args.scale is not None:
+        m, n, s = 540 * args.scale, 2560 * args.scale, 80 * args.scale
+    else:
+        m, n, s = args.m, args.n, args.s
+    spec = InstanceSpec(m=m, n=n, s=s, delta=args.delta,
+                        epsilon=args.penalty_eps, seed=args.seed)
+    engines = [name.strip() for name in args.engines.split(",") if name.strip()]
+    if not engines:
+        raise ValueError(f"--engines names no engine: {args.engines!r}")
+    for name in engines:
+        get_engine(name)
+    return spec, engines
+
+
+def _cmd_solve(args, loss, penalty) -> int:
     A = fileio.load_matrix(args.matrix)
     b = fileio.load_vector(args.rhs)
-    loss = LossSpec(args.loss, args.delta)
-    penalty = PenaltySpec(args.penalty_eps)
     instance = ProblemInstance.build(A, b, args.sigma, loss, penalty)
     config = DirConfig(engine=args.engine, outer_tol=args.tol,
                        max_outer=args.max_outer)
@@ -107,16 +115,7 @@ def _cmd_solve(args) -> int:
     return 1 if result.status in failed else 0
 
 
-def _cmd_bench(args) -> int:
-    if args.scale is not None:
-        m, n, s = 540 * args.scale, 2560 * args.scale, 80 * args.scale
-    else:
-        m, n, s = args.m, args.n, args.s
-    spec = InstanceSpec(m=m, n=n, s=s, delta=args.delta,
-                        epsilon=args.penalty_eps, seed=args.seed)
-    engines = [name.strip() for name in args.engines.split(",") if name.strip()]
-    if not _engines_known(engines):
-        return 2
+def _cmd_bench(args, spec, engines) -> int:
     config = DirConfig(outer_tol=args.tol)
     records, aggregates = run_batch(spec, engines, args.trials,
                                     config=config, max_workers=args.workers)
@@ -132,9 +131,14 @@ def _cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    return _cmd_bench(args)
+    solve = args.command == "solve"
+    # Bad arguments exit with 2 before any file is read or any trial runs.
+    try:
+        inputs = _solve_inputs(args) if solve else _bench_inputs(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    return (_cmd_solve if solve else _cmd_bench)(args, *inputs)
 
 
 if __name__ == "__main__":

@@ -458,41 +458,44 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
 
 
 class FaceGate:
-    """The one way an engine tries :func:`face_solve`, for one subproblem.
+    """The one owner of a subproblem's :func:`face_solve` tries.
 
-    :meth:`enter` tries the face of the warm answer.  Mid-solve, after each
-    step that :meth:`due` names, the engine calls :meth:`look` with its
-    iterate x and ||A_k x - b_w||; the iterate settles on the answer's face
-    long before it meets eps_k (FPC_AS, Wen, Yin, Goldfarb & Zhang 2010).
-    A look tries x when its sign pattern equals the previous look's, was
-    not tried before in this subproblem (face_solve reads only the pattern,
-    and the warm answer's counts as tried), and the residual norm is within
+    Every engine makes one gate per subproblem, with its warm answer
+    ``x_prev`` or None on a cold solve.  The gate tries the warm answer's
+    face when it is made.  Mid-solve, after each step that :meth:`due`
+    names, the engine calls :meth:`look` with its iterate x and
+    ||A_k x - b_w||; the iterate settles on the answer's face long before
+    it meets eps_k (FPC_AS, Wen, Yin, Goldfarb & Zhang 2010).  A look tries
+    x when its sign pattern equals the previous look's, was not tried
+    before in this subproblem (face_solve reads only the pattern, and the
+    warm answer's counts as tried), and the residual norm is within
     ``_FACE_GAP`` * sigma_bar of sigma_bar, as every face answer's is,
     which keeps tries off iterates whose supports still change.  A try
     spends one product pair per checked round and changes no iterate.
+
     ``tried`` says whether the last look tried; ``cert`` holds the last
-    try's certificate or None; one not None answers the subproblem.
-    face_solve adds its ``face_*`` entries to ``stats``.
+    try's certificate or None, and one not None answers the subproblem.
+    ``stats`` holds the tries' ``face_accepted`` (answers), ``face_checks``
+    (product pairs) and ``face_s`` (seconds), from 0, which the engines
+    copy into their ``info``.
     """
 
-    def __init__(self, sub: SubproblemData, stats: dict):
+    def __init__(self, sub: SubproblemData,
+                 x_prev: Optional[np.ndarray] = None):
         self.sub = sub
-        self.stats = stats
+        self.stats = {"face_accepted": 0, "face_checks": 0, "face_s": 0.0}
         self.cert: Optional[InexactCertificate] = None
         self.tried = False
         self._patterns = set()
         self._looked = None
+        if x_prev is not None:
+            self._patterns.add(np.sign(x_prev).tobytes())
+            self.cert = face_solve(sub, x_prev, self.stats)
 
     @staticmethod
     def due(step: int) -> bool:
         """Whether an engine looks after its step number ``step``."""
         return step % _FACE_EVERY == 0
-
-    def enter(self, x_prev: np.ndarray) -> Optional[InexactCertificate]:
-        """Try the face of the warm answer ``x_prev``; return ``cert``."""
-        self._patterns.add(np.sign(x_prev).tobytes())
-        self.cert = face_solve(self.sub, x_prev, self.stats)
-        return self.cert
 
     def look(self, x: np.ndarray, rho: float) -> Optional[InexactCertificate]:
         """Look at x, with rho = ||A_k x - b_w||; return a try's ``cert``."""

@@ -45,8 +45,9 @@ class InstanceSpec:
             raise ValueError("need 0 < s <= n")
         if not (0 < self.m < self.n):
             raise ValueError("need 0 < m < n")
-        if min(self.delta, self.epsilon) <= 0:
-            raise ValueError("scales must be positive")
+        # The loss and the penalty own their scale checks.
+        LossSpec(LossKind.CAUCHY, self.delta)
+        PenaltySpec(self.epsilon)
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,14 @@ settles the side of the root without settling phi(tau) itself.  Such a
 solve never lands within the root tolerance, so no certificate is read
 from it.
 
-A warm solve first tries the closed-form answer on the face of the
-previous answer (:func:`~dir_sparse.core.face_solve`), at one QR and one
-product pair per round, usually one round.  When that answer meets the
-certificate, in either mode, it is returned with no Newton step and no
-LASSO iteration; otherwise the Newton steps run as above, from tau = 0,
-since a start from that answer saves no pass once its face fails.  The LASSO
-iterate settles on the answer's face long before the root is found
-(FPC_AS, Wen, Yin, Goldfarb & Zhang 2010), so every ``_FACE_EVERY``
-iterations it is shown to the subproblem's
-:class:`~dir_sparse.core.FaceGate`, the same gate the ADMM engine uses,
-and a certificate from a face it tries answers the subproblem.
+Each subproblem's closed-form face answers
+(:func:`~dir_sparse.core.face_solve`) are tried by its
+:class:`~dir_sparse.core.FaceGate`, which the ADMM engine uses too: on
+the previous answer's face when it is made, then on the LASSO iterates
+(its docstring has the rules).  A face answer, in either mode, answers
+the subproblem.  When the warm try fails, the Newton steps run as above
+from tau = 0, since a start from that answer saves no pass once its face
+fails.
 
 Both modes run the LASSO solves at one tolerance, ``_LASSO_TOL``.
 "certified" tightens it tenfold only when the subproblem certificate fails
@@ -135,17 +132,17 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     by :func:`pareto_newton`, is shown x and ||r|| after each iteration
     it says is due.  After a failed face try the next 1, 3, 7, ... looks
     are skipped, since each try costs a QR of the face's columns.  A try
-    that answers the subproblem ends the solve, and the answer is
-    ``_gate.cert``.  Without a gate no face is tried.
+    that answers the subproblem returns at once, with the carried x, r and
+    g and multiplier 0, as the answer is ``_gate.cert``.  Without a gate no
+    face is tried.
 
     When ``stats`` is a dict, ``"pareto_stops"`` is incremented, counting
     from 0 when absent, when the target ended the solve.
 
     Returns ``(x, lasso_multiplier, iterations, converged, r, g)``, with r
     and g recomputed exactly at exit, since the residual carried through
-    the iterations drifts by rounding, except after a face answer, whose
-    certificate is the subproblem's answer; ``converged`` is False only
-    when the solve stopped at ``_MAX_SPG_PER_LASSO`` iterations.  The
+    the iterations drifts by rounding; ``converged`` is False only when
+    the solve stopped at ``_MAX_SPG_PER_LASSO`` iterations.  The
     multiplier is the shrinkage multiplier of a unit-step gradient
     projection at the final iterate; at a fixed point the projection
     multiplier scales linearly with the step, so the unit-step probe is
@@ -202,8 +199,7 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             if skip:
                 skip -= 1
             elif _gate.look(x, math.sqrt(2.0 * f_new)) is not None:
-                converged = True
-                break
+                return x, 0.0, it, True, r, g
             elif _gate.tried:
                 misses += 1
                 skip = 2 ** misses - 1
@@ -228,8 +224,7 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             converged = True
             break
 
-    if _gate is None or _gate.cert is None:
-        x, r, g = _exact_point(sub, x)
+    x, r, g = _exact_point(sub, x)
     y = x - g
     lam = _projection_multiplier(y, project_weighted_l1_ball(y, w, tau), w)
     return x, lam, it, converged, r, g
@@ -263,11 +258,11 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     built from it.  An escalation re-solves in place with the target at
     the tightened root_tol.
 
-    One :class:`~dir_sparse.core.FaceGate` serves the subproblem.  A warm
-    solve first tries the face of ``warm.x_lasso`` through it, the only
-    read of ``warm``, and every LASSO solve shows it its iterate (see
-    :func:`spg_lasso`).  A certificate from either try is the answer, in
-    both modes, and the state is tau = ||w o z||_1 and x_lasso = z.
+    The subproblem's :class:`~dir_sparse.core.FaceGate` is made on
+    ``warm.x_lasso``, the only read of ``warm``, and every LASSO solve
+    shows it its iterate (see :func:`spg_lasso`).  Its ``cert``, when not
+    None, is the answer, in both modes, and the state is
+    tau = ||w o z||_1 and x_lasso = z.
 
     Returns ``(certificate, state, info)``.  In certified mode the
     certificate bounds are enforced by tightening the LASSO tolerance up
@@ -276,10 +271,9 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     The certificate always belongs to the returned ``state.x_lasso``.
     ``info["lasso_unconverged"]`` counts the LASSO solves that stopped at
     ``_MAX_SPG_PER_LASSO`` iterations and ``info["pareto_stops"]`` those
-    the target ended; ``info["face_accepted"]``, ``info["face_checks"]``
-    and ``info["face_s"]`` count the face tries' answers, product pairs and
-    seconds.  On a face answer ``root_gap`` is the answer's coupling
-    residual, and at warm entry every other entry is 0.
+    the target ended, and the gate's ``stats`` follow.  On a face answer
+    ``root_gap`` is the answer's coupling residual, and at warm entry
+    every other entry is 0.
     """
     if mode not in ("certified", "blackbox"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -291,13 +285,12 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
             "degenerate subproblem: x = 0 is already feasible (the Pareto "
             "root is tau = 0), which the standing assumptions rule out")
 
-    stats = {"face_s": 0.0, "pareto_stops": 0, "face_accepted": 0,
-             "face_checks": 0}
-    gate = FaceGate(sub, stats)
-    if warm is not None and gate.enter(warm.x_lasso) is not None:
+    stats = {"pareto_stops": 0}
+    gate = FaceGate(sub, None if warm is None else warm.x_lasso)
+    if gate.cert is not None:
         return _face_answer(sub, gate.cert, {
             "iterations": 0, "newton_steps": 0, "escalations": 0,
-            "lasso_unconverged": 0, **stats})
+            "lasso_unconverged": 0, **stats, **gate.stats})
 
     mach_slack = 50.0 * np.finfo(float).eps * max(1.0, b_norm)
     root_tol = max(1e-6 * sigma_bar, mach_slack)
@@ -352,7 +345,7 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
         tau = tau_next
     info = {"iterations": total_inner, "newton_steps": newton_steps,
             "escalations": escalations, "root_gap": abs(phi - sigma_bar),
-            "lasso_unconverged": lasso_unconverged, **stats}
+            "lasso_unconverged": lasso_unconverged, **stats, **gate.stats}
     if gate.cert is not None:
         return _face_answer(sub, gate.cert, info)
     if cert is None or cert.x_tilde is not x:

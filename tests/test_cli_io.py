@@ -167,6 +167,30 @@ class TestSolveCli:
         assert "unknown engine 'nope'; available: ['admm'," in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--delta", "0", "delta must be positive"),
+        ("--penalty-eps", "-1", "epsilon must be positive")])
+    def test_solve_rejects_bad_scale_before_reading(self, tmp_path, capsys,
+                                                    flag, value, message):
+        # The files do not exist: reading either would raise, not return 2.
+        rc = main(["solve", "--matrix", str(tmp_path / "missing_A.csv"),
+                   "--rhs", str(tmp_path / "missing_b.csv"), "--sigma", "1.0",
+                   flag, value, "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_solve_rejects_max_outer_below_one(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--matrix", str(tmp_path / "missing_A.csv"),
+                  "--rhs", str(tmp_path / "missing_b.csv"), "--sigma", "1.0",
+                  "--max-outer", value, "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "argument --max-outer: must be at least 1" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_solve_reports_engine_error(self, instance_files, capsys):
         def raising_solve(sub, warm):
             raise RuntimeError("boom")
@@ -211,6 +235,27 @@ class TestBenchCli:
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 2
         assert "unknown engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--delta", "0"], "delta must be positive"),
+        (["--penalty-eps", "-1"], "epsilon must be positive"),
+        (["--m", "40", "--n", "40"], "need 0 < m < n"),
+        (["--engines", " , "], "--engines names no engine")])
+    def test_bench_rejects_bad_arguments_before_trials(
+            self, tmp_path, capsys, monkeypatch, args, message):
+        import dir_sparse.cli as cli
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_batch", no_batch)
+        out = tmp_path / "t.csv"
+        rc = main(["bench", "--m", "16", "--n", "48", "--s", "3",
+                   "--trials", "1", "--engines", "admm", *args,
+                   "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--scale", "--trials", "--workers"])
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -18,9 +18,10 @@ from dir_sparse import (DirConfig, InexactCertificate, InstanceSpec, LossKind,
                         build_subproblem, constraint_grad, generate_instance,
                         register_engine, retract, run_dir,
                         stationarity_report)
-from dir_sparse.core import (_FACE_ROUNDS, FEASIBILITY_SLACK, ProblemInstance,
-                             SubproblemData, face_least_squares, face_solve,
-                             get_engine)
+from dir_sparse import core as core_module
+from dir_sparse.core import (_FACE_ROUNDS, FEASIBILITY_SLACK, FaceGate,
+                             ProblemInstance, SubproblemData,
+                             face_least_squares, face_solve, get_engine)
 from dir_sparse.harness import _problem_data
 
 from conftest import ALL_KINDS, make_instance
@@ -527,6 +528,50 @@ class TestFaceSolve:
         cert2, _, info2 = solve(sub2, state1)
         assert cert2.criteria_met and info2["face_accepted"] == 1
         assert info2["iterations"] == 0
+
+
+class TestFaceGate:
+    @staticmethod
+    def spy(monkeypatch):
+        """Record each face_solve call's x and result."""
+        calls = []
+
+        def face_solve(sub, x, stats=None, _orig=core_module.face_solve):
+            calls.append((x, _orig(sub, x, stats)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(core_module, "face_solve", face_solve)
+        return calls
+
+    def test_warm_try_at_construction(self, monkeypatch):
+        sub, x_prev = first_face_subproblem()
+        calls = self.spy(monkeypatch)
+        before = sub.matvec_calls
+        gate = FaceGate(sub, x_prev)
+        assert len(calls) == 1 and calls[0][0] is x_prev
+        assert gate.cert is calls[0][1] and gate.cert is not None
+        assert set(gate.stats) == {"face_accepted", "face_checks", "face_s"}
+        assert gate.stats["face_accepted"] == 1
+        assert gate.stats["face_checks"] == sub.matvec_calls - before >= 1
+        # The warm pattern counts as tried: a held look on it tries nothing.
+        for _ in range(2):
+            assert gate.look(x_prev, sub.sigma_bar) is None
+            assert not gate.tried
+        assert len(calls) == 1 and gate.cert is calls[0][1]
+
+    def test_cold_gate_tries_nothing_at_construction(self, monkeypatch):
+        sub, x_prev = first_face_subproblem()
+        calls = self.spy(monkeypatch)
+        before = (sub.matvec_calls, sub.rmatvec_calls)
+        gate = FaceGate(sub)
+        assert calls == [] and gate.cert is None
+        assert gate.stats == {"face_accepted": 0, "face_checks": 0,
+                              "face_s": 0.0}
+        assert (sub.matvec_calls, sub.rmatvec_calls) == before
+        # The same pattern, held over two looks, is tried on the second.
+        assert gate.look(x_prev, sub.sigma_bar) is None and not gate.tried
+        assert gate.look(x_prev, sub.sigma_bar) is not None and gate.tried
+        assert len(calls) == 1 and gate.stats["face_accepted"] == 1
 
 
 class TestRunDir:

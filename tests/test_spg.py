@@ -288,6 +288,41 @@ class TestParetoNewton:
             if p > sub.sigma_bar > 0:
                 assert s < 0.0                  # dual-norm slope negative
 
+    def test_face_answer_ends_lasso_at_once(self, monkeypatch, desk_instance):
+        # The desk's first subproblem is answered on the face its LASSO
+        # iterate settles on.  After that try spg_lasso spends no product
+        # and no projection: the answer is the gate's certificate.
+        events = []
+        for name in ("matvec", "rmatvec"):
+            def counted(self, z, _orig=getattr(SubproblemData, name), _name=name):
+                events.append(_name)
+                return _orig(self, z)
+            monkeypatch.setattr(SubproblemData, name, counted)
+
+        def projection(*args, _orig=spg_module.project_weighted_l1_ball):
+            events.append("projection")
+            return _orig(*args)
+
+        def face_solve(*args, _orig=core_module.face_solve):
+            cert = _orig(*args)
+            events.append("answer" if cert is not None else "miss")
+            return cert
+
+        def lasso(*args, _orig=spg_module.spg_lasso, **kwargs):
+            out = _orig(*args, **kwargs)
+            events.append("exit")
+            return out
+
+        monkeypatch.setattr(spg_module, "project_weighted_l1_ball", projection)
+        monkeypatch.setattr(core_module, "face_solve", face_solve)
+        monkeypatch.setattr(spg_module, "spg_lasso", lasso)
+        inst, _ = desk_instance
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        _, _, info = pareto_newton(sub, None, "blackbox")
+        assert info["face_accepted"] == 1 and info["iterations"] > 0
+        assert events.count("answer") == 1
+        assert events[events.index("answer") + 1:] == ["exit"]
+
     def test_sphere_projection_norm(self, desk_instance):
         inst, _ = desk_instance
         sub = build_subproblem(inst, inst.least_norm, 0)
