@@ -24,6 +24,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _outer_tol(text: str) -> float:
+    value = float(text)
+    try:
+        DirConfig(outer_tol=value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dir-sparse",
@@ -45,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--engine", default=DirConfig.engine,
                        help="subproblem engine: admm|spg|spg-blackbox "
                             "(default %(default)s)")
-    solve.add_argument("--tol", type=float, default=DirConfig.outer_tol,
+    solve.add_argument("--tol", type=_outer_tol, default=DirConfig.outer_tol,
                        help="outer relative-step tolerance (default %(default)s)")
     solve.add_argument("--max-outer", type=_positive_int,
                        default=DirConfig.max_outer)
@@ -64,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated engine names")
     bench.add_argument("--delta", type=float, default=InstanceSpec.delta)
     bench.add_argument("--penalty-eps", type=float, default=InstanceSpec.epsilon)
-    bench.add_argument("--tol", type=float, default=DirConfig.outer_tol)
+    bench.add_argument("--tol", type=_outer_tol, default=DirConfig.outer_tol)
     bench.add_argument("--workers", type=_positive_int, default=1,
                        help="parallel worker processes for trials")
     bench.add_argument("--out", required=True, help="aggregate CSV path")

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import l1_kkt_distance, least_norm_solution, lambda_max_gram, \
-    solve_upper
+from .linalg import invert_upper, l1_kkt_distance, least_norm_solution, \
+    lambda_max_gram
 from .losses import LossSpec, PenaltySpec, constraint_value, constraint_grad, \
     validate_assumptions
 
@@ -27,8 +27,12 @@ from .losses import LossSpec, PenaltySpec, constraint_value, constraint_grad, \
 FEASIBILITY_SLACK = 1e-10
 # sigma_k is clamped to this fraction of sigma if rounding drives it negative.
 _SIGMA_K_CLAMP = 1e-15
-# Active-set rounds of face_solve, each one QR of the face's columns.
-_FACE_ROUNDS = 6
+# Active-set rounds of face_solve.  On the (540, 2560, 80) panel every try
+# ends within 18.
+_FACE_ROUNDS = 20
+# FaceFactor factors the face afresh once the entries dropped and joined
+# since its last factorization outnumber this fraction of that one's.
+_FACE_REFACTOR = 0.25
 # Face tries mid-solve (FaceGate): engine steps between looks at the sign
 # pattern, and the largest | ||A_k x - b_w|| - sigma_bar | / sigma_bar at a
 # try.
@@ -227,12 +231,22 @@ class DirConfig:
     """Outer-loop configuration.
 
     ``engine`` names a registered subproblem engine; the built-ins are
-    "admm", "spg" (both certified) and "spg-blackbox".
+    "admm", "spg" (both certified) and "spg-blackbox".  ``outer_tol`` must
+    be finite and at least 0, and ``max_outer`` at least 1.
     """
 
     engine: str = "admm"
     outer_tol: float = 1e-4
     max_outer: int = 1000
+
+    def __post_init__(self):
+        # "not" so that NaN is refused too.
+        if not (np.isfinite(self.outer_tol) and self.outer_tol >= 0.0):
+            raise ValueError(f"outer_tol must be finite and at least 0, "
+                             f"got {self.outer_tol!r}")
+        if not self.max_outer >= 1:
+            raise ValueError(f"max_outer must be at least 1, "
+                             f"got {self.max_outer!r}")
 
 
 _ENGINES = {}
@@ -355,33 +369,169 @@ def sphere_certificate(sub: SubproblemData, x: np.ndarray, res: np.ndarray,
         coupling_residual=abs(rho - sigma_bar))
 
 
-def face_least_squares(sub: SubproblemData, support: np.ndarray,
-                       signs: np.ndarray):
-    """Least squares on the face {supp(z) in support, sign(z) = signs}.
+class FaceFactor:
+    """Least squares on one face, kept on one Cholesky factor per try.
 
-    With M = A_k[:, support] and c = w[support] o signs, one QR of the
-    m x (|S| + 1) matrix [M, b_w] gives R and Q^T b_w, and with them
-    z_ls = R^-1 Q^T b_w, the minimizer of ||M z - b_w||, its squared
-    residual norm rho2 = ||M z_ls - b_w||^2 (the last diagonal entry of R,
-    squared) and h = R^-1 R^-T c.  Along z = z_ls - s h the weighted norm
-    c . z falls at rate c . h = ||R^-T c||^2 and the squared residual is
-    rho2 + s^2 c . h.  Returns ``(c, z_ls, h, rho2)``, or None when
-    |S| = 0 or |S| >= m; the QR reads columns of A but is not a product
-    with A_k.
+    The entries are a base T, with its scaled columns M_T = A_k[:, T], its
+    Gram matrix G = M_T^T M_T and the inverse R^-1 of G's Cholesky factor
+    G = R^T R, and the entries P joined since, with M_P, B = M_T^T M_P and
+    C = M_P^T M_P.  The columns v o A[:, T] and v o A[:, P] are gathered
+    into plain arrays, which reads A but is not a product with A_k.  The
+    face S is the entries still active.  :meth:`add` gathers new columns
+    and borders B and C; :meth:`keep` only marks entries dropped.
+    :meth:`solve` works on S through R^-1 and two Schur complements, one
+    on the dropped base entries D and one on the active joined ones, and
+    factors the face afresh, making it the new base, once D and P together
+    outnumber ``_FACE_REFACTOR`` times |T|.
     """
-    m = sub.b_w.shape[0]
-    k = support.size
-    if k == 0 or k >= m:
-        return None
-    M = np.empty((m, k + 1), order="F")
-    np.multiply(sub.instance.A[:, support], sub.v[:, None], out=M[:, :k])
-    M[:, k] = sub.b_w
-    R = np.linalg.qr(M, mode="r")
-    c = sub.w[support] * signs
-    R_S = R[:k, :k]
-    z_ls = solve_upper(R_S, R[:k, k])
-    h = solve_upper(R_S, solve_upper(R_S, c, trans=True))
-    return c, z_ls, h, float(R[k, k]) ** 2
+
+    def __init__(self, sub: SubproblemData, support: np.ndarray,
+                 signs: np.ndarray):
+        self.sub = sub
+        self._cols, self._signs = support, signs
+        self._active = np.ones(support.size, dtype=bool)
+        M = self._gather(support)
+        self._Mtb = M.T @ sub.b_w
+        self._base(M, M.T @ M)
+
+    @property
+    def support(self) -> np.ndarray:
+        return self._cols[self._active]
+
+    @property
+    def signs(self) -> np.ndarray:
+        return self._signs[self._active]
+
+    def _gather(self, cols: np.ndarray) -> np.ndarray:
+        """The scaled columns v o A[:, cols], as a plain array."""
+        M = np.empty((self.sub.b_w.shape[0], cols.size), order="F")
+        return np.multiply(self.sub.instance.A[:, cols], self.sub.v[:, None],
+                           out=M)
+
+    def _base(self, M_T: np.ndarray, G: np.ndarray) -> None:
+        """Make T the entries so far, with columns M_T and Gram matrix G."""
+        k = G.shape[0]
+        self._M_T, self._G, self._R_inv = M_T, G, None
+        self._M_P = np.empty((M_T.shape[0], 0))
+        self._B, self._C = np.empty((k, 0)), np.empty((0, 0))
+        self._dropped = np.empty(0, dtype=np.intp)
+        self._V, self._U = np.empty((k, 0)), np.empty((k, 0))
+
+    def add(self, cols: np.ndarray, signs: np.ndarray) -> None:
+        """Join the entries ``cols`` of A_k with the signs ``signs``."""
+        P = self._gather(cols)
+        self._B = np.concatenate((self._B, self._M_T.T @ P), axis=1)
+        cross = self._M_P.T @ P
+        self._C = np.block([[self._C, cross], [cross.T, P.T @ P]])
+        self._M_P = np.concatenate((self._M_P, P), axis=1)
+        self._Mtb = np.concatenate((self._Mtb, P.T @ self.sub.b_w))
+        self._cols = np.concatenate((self._cols, cols))
+        self._signs = np.concatenate((self._signs, signs))
+        self._active = np.concatenate((self._active,
+                                       np.ones(cols.size, dtype=bool)))
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the face's entries where the boolean ``mask`` is False."""
+        gone = np.flatnonzero(self._active)[~mask]
+        self._active[gone] = False
+        self._dropped = np.concatenate(
+            (self._dropped, gone[gone < self._G.shape[0]]))
+
+    def _refactor(self) -> None:
+        """Make the face S the base, to be factored afresh."""
+        k = self._G.shape[0]
+        act = self._active
+        a_T, a_P = act[:k], act[k:]
+        B = self._B[np.ix_(a_T, a_P)]
+        self._cols, self._signs = self._cols[act], self._signs[act]
+        self._Mtb, self._active = self._Mtb[act], act[act]
+        self._base(np.concatenate((self._M_T[:, a_T], self._M_P[:, a_P]),
+                                  axis=1),
+                   np.block([[self._G[np.ix_(a_T, a_T)], B],
+                             [B.T, self._C[np.ix_(a_P, a_P)]]]))
+
+    def _solver(self):
+        """The map X -> Y with G_SS Y_S = X_S and Y zero off S.
+
+        Rows follow T, then P.  The base part G_(T-D)(T-D) y = g is solved
+        as G y = g + E_D lam with y_D = 0: y = G^-1 g - V (V_D)^-1
+        (G^-1 g)_D with V = G^-1 E_D, one column of V formed per dropped
+        entry.  The active joined entries P_a then enter through their
+        Schur complement C_aa - B_a^T W, W the base solve with B_a, whose
+        G^-1 B is formed once per joined entry.
+        """
+        k = self._G.shape[0]
+        if self._dropped.size + self._C.shape[0] > _FACE_REFACTOR * k:
+            self._refactor()
+            k = self._G.shape[0]
+        if self._R_inv is None:
+            self._R_inv = invert_upper(np.linalg.cholesky(self._G).T)
+        R_inv, D = self._R_inv, self._dropped
+        P = k + np.flatnonzero(self._active[k:])
+
+        def gram_solve(X):
+            return R_inv @ (R_inv.T @ X)
+
+        fresh = D[self._V.shape[1]:]
+        if fresh.size:
+            unit = np.zeros((k, fresh.size))
+            unit[fresh, np.arange(fresh.size)] = 1.0
+            self._V = np.concatenate((self._V, gram_solve(unit)), axis=1)
+        if self._U.shape[1] < self._B.shape[1]:
+            self._U = np.concatenate(
+                (self._U, gram_solve(self._B[:, self._U.shape[1]:])), axis=1)
+        V, V_D = self._V, self._V[D]
+
+        def off_dropped(Y):
+            """G^-1 g, in place, to the solve with y_D = 0."""
+            if D.size:
+                Y -= V @ np.linalg.solve(V_D, Y[D])
+                Y[D] = 0.0
+            return Y
+
+        if P.size:
+            B = self._B[:, P - k]
+            W = off_dropped(self._U[:, P - k])
+            R_c = invert_upper(
+                np.linalg.cholesky(self._C[np.ix_(P - k, P - k)] - B.T @ W).T)
+
+        def solve_on_face(X):
+            Y = np.zeros_like(X)
+            Y[:k] = off_dropped(gram_solve(X[:k]))
+            if P.size:
+                Y[P] = R_c @ (R_c.T @ (X[P] - B.T @ Y[:k]))
+                Y[:k] -= W @ Y[P]
+            return Y
+
+        return solve_on_face
+
+    def solve(self):
+        """``(c, z_ls, h, rho2)`` on the face S.
+
+        c = w[S] o s; z_ls minimizes ||M_S z - b_w|| and h = G_SS^-1 c.
+        Both come from :meth:`_solver`, each corrected by one refinement
+        step on its residual with M (corrected semi-normal equations,
+        Bjorck 1987), and rho2 = ||M_S z_ls - b_w||^2 is read off the real
+        residual.  Along z = z_ls - s h the weighted norm c . z falls at
+        rate c . h and the squared residual is rho2 + s^2 c . h.  Raises
+        ``LinAlgError`` when a factor is not numerically positive definite.
+        """
+        gram_solve = self._solver()
+        k, act = self._G.shape[0], self._active
+
+        def times_M(Y):
+            return self._M_T @ Y[:k] + self._M_P @ Y[k:]
+
+        c = np.zeros(act.size)
+        c[act] = self.sub.w[self._cols[act]] * self._signs[act]
+        Z = gram_solve(np.column_stack((self._Mtb, c)))
+        E = -times_M(Z)
+        E[:, 0] += self.sub.b_w
+        F = np.concatenate((self._M_T.T @ E, self._M_P.T @ E))
+        F[:, 1] += c
+        Z += gram_solve(F)
+        res = times_M(Z[:, 0]) - self.sub.b_w
+        return c[act], Z[act, 0], Z[act, 1], float(res @ res)
 
 
 def face_solve(sub: SubproblemData, x_prev: np.ndarray,
@@ -390,7 +540,7 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
 
     Once the support S and the signs s of the answers settle, the
     subproblem is min c . z s.t. ||M z - b_w||^2 <= sigma_k on that face
-    (:func:`face_least_squares`, Osborne, Presnell & Turlach 2000; FPC_AS,
+    (:meth:`FaceFactor.solve`, Osborne, Presnell & Turlach 2000; FPC_AS,
     Wen, Yin, Goldfarb & Zhang 2010).  When rho2 < sigma_k its answer is
     z = z_ls - t h with t = sqrt((sigma_k - rho2) / c . h): its residual
     r = M z - b_w has norm sigma_bar and M^T r = -t c, so t plays the
@@ -398,63 +548,76 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
 
     ``x_prev`` is an engine's previous answer or its current iterate, and
     every engine calls this through :class:`FaceGate`; only its sign
-    pattern is read.  An active-set loop of at most
-    ``_FACE_ROUNDS`` rounds, each one QR, starts from S = supp(x_prev) and
-    s = sign(x_prev[S]).  A round whose z
-    flips a sign drops those entries and spends no product.  Otherwise one
-    ``matvec`` forms r and one ``rmatvec`` q = A_k^T r; the off-support
-    entries with |q_j| > t w_j violate the optimality conditions, and the
-    worst max(1, |S| // 10) of them join S with the signs -sign(q_j).
-    Without such an entry the certificate is built from r and q.
+    pattern is read.  An active-set loop of at most ``_FACE_ROUNDS``
+    rounds starts from S = supp(x_prev) and s = sign(x_prev[S]), on one
+    :class:`FaceFactor` for the whole try: the columns of A are gathered
+    once each, and the face's Gram matrix is factored when the try starts
+    and again only when the entries dropped and joined since outgrow the
+    factor.  A round whose z flips a sign drops those entries and spends
+    no product.  Otherwise one ``matvec`` forms r and one ``rmatvec``
+    q = A_k^T r; the off-support entries with |q_j| > t w_j violate the
+    optimality conditions, and the worst max(1, |S| // 10) of them join S
+    with the signs -sign(q_j).  Without such an entry the certificate is
+    built from r and q.  It reads real products, so a factor that drifts
+    can cost a try but never gives a wrong answer.
 
     Returns that certificate when its ``criteria_met`` holds, and None when
-    it fails, when S empties or fills m columns, when rho2 >= sigma_k (no
-    point of the face reaches the ball) or when the rounds run out.  When
-    ``stats`` is a dict, ``"face_accepted"`` (1 for a returned
-    certificate), ``"face_checks"`` (rounds that spent a product pair) and
-    ``"face_s"`` (seconds in this call) are added to its entries.
+    it fails, when S is empty or has m entries or more (for x_prev, before
+    any column is gathered), when rho2 >= sigma_k (no point of the face
+    reaches the ball), when a factor is not numerically positive definite
+    (a LinAlgError, or c . h <= 0) or when the rounds run out.  When ``stats`` is a dict,
+    ``"face_accepted"`` (1 for a returned certificate), ``"face_checks"``
+    (rounds that spent a product pair) and ``"face_s"`` (seconds in this
+    call) are added to its entries.
     """
     tic = time.perf_counter()
     support = np.flatnonzero(x_prev)
-    signs = np.sign(x_prev[support])
-    n = sub.w.shape[0]
-    cert = None
-    checks = 0
-    for _ in range(_FACE_ROUNDS):
-        face = face_least_squares(sub, support, signs)
-        if face is None:
-            break
-        c, z_ls, h, rho2 = face
-        if not rho2 < sub.sigma_k:
-            break
-        t = float(np.sqrt((sub.sigma_k - rho2) / float(c @ h)))
-        z = z_ls - t * h
-        flipped = np.sign(z) != signs
-        if flipped.any():
-            support, signs = support[~flipped], signs[~flipped]
-            continue
-        x = np.zeros(n)
-        x[support] = z
-        res = sub.matvec(x) - sub.b_w
-        q = sub.rmatvec(res)
-        checks += 1
-        excess = np.abs(q) - t * sub.w
-        excess[support] = 0.0
-        worst = np.argsort(excess)[::-1][:max(1, support.size // 10)]
-        worst = worst[excess[worst] > 0.0]
-        if worst.size:
-            support = np.concatenate((support, worst))
-            signs = np.concatenate((signs, -np.sign(q[worst])))
-            continue
-        candidate = sphere_certificate(sub, x, res, q, t)
-        # Plain code, so that python -O keeps the check.
-        if candidate.criteria_met:
-            cert = candidate
-        break
+    cert, checks = None, 0
+    if 0 < support.size < sub.b_w.shape[0]:
+        cert, checks = _active_set(
+            sub, FaceFactor(sub, support, np.sign(x_prev[support])))
     _tally(stats, "face_accepted", int(cert is not None))
     _tally(stats, "face_checks", checks)
     _tally(stats, "face_s", time.perf_counter() - tic)
     return cert
+
+
+def _active_set(sub: SubproblemData, face: FaceFactor):
+    """The rounds of :func:`face_solve` on ``face``: (certificate, checks)."""
+    m, n = sub.b_w.shape[0], sub.w.shape[0]
+    checks = 0
+    for _ in range(_FACE_ROUNDS):
+        try:
+            c, z_ls, h, rho2 = face.solve()
+        except np.linalg.LinAlgError:
+            break
+        ch = float(c @ h)
+        # c . h = c^T G_SS^-1 c > 0 unless the factor has broken down.
+        if not (rho2 < sub.sigma_k and ch > 0.0):
+            break
+        t = float(np.sqrt((sub.sigma_k - rho2) / ch))
+        z = z_ls - t * h
+        flipped = np.sign(z) != face.signs
+        if flipped.any():
+            face.keep(~flipped)
+        else:
+            x = np.zeros(n)
+            x[face.support] = z
+            res = sub.matvec(x) - sub.b_w
+            q = sub.rmatvec(res)
+            checks += 1
+            excess = np.abs(q) - t * sub.w
+            excess[face.support] = 0.0
+            worst = np.argsort(excess)[::-1][:max(1, face.support.size // 10)]
+            worst = worst[excess[worst] > 0.0]
+            if not worst.size:
+                cert = sphere_certificate(sub, x, res, q, t)
+                # Plain code, so that python -O keeps the check.
+                return (cert if cert.criteria_met else None), checks
+            face.add(worst, -np.sign(q[worst]))
+        if not 0 < face.support.size < m:
+            break
+    return None, checks
 
 
 class FaceGate:

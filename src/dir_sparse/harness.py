@@ -41,6 +41,11 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # bool is an int, but not a seed.
+        if isinstance(self.seed, bool) \
+                or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if not (0 < self.s <= self.n):
             raise ValueError("need 0 < s <= n")
         if not (0 < self.m < self.n):

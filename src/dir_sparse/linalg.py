@@ -6,7 +6,8 @@ caller; Q is never formed.  The rank test reads the diagonal of R, the
 least-norm point comes from the corrected semi-normal equations
 A A.T y = b with A A.T = R.T R, and the spectral bound on A A.T is
 ||R||_2^2.  Systems with R or R.T are solved by blocked substitution
-(:func:`solve_upper`), O(m^2) where an LU of R would be O(m^3).  The
+(:func:`solve_upper`), O(m^2) where an LU of R would be O(m^3), and
+:func:`invert_upper` forms R^-1 where many systems share one R.  The
 prox/projection operators are exact closed forms or exact breakpoint
 searches.
 """
@@ -45,6 +46,24 @@ def solve_upper(R: np.ndarray, B: np.ndarray, trans: bool = False) -> np.ndarray
         else:
             X[i:j] = np.linalg.solve(R[i:j, i:j], X[i:j])
             X[:i] -= R[:i, i:j] @ X[i:j]
+    return X
+
+
+def invert_upper(R: np.ndarray) -> np.ndarray:
+    """R^-1 for an upper-triangular R, by blocked back substitution.
+
+    From the last block row up, each block row of ``_SOLVE_BLOCK`` rows
+    takes the inverse of its diagonal block of R and the block rows of
+    R^-1 below it; outside those small inverses every flop is a matrix
+    product.  R^-1 is upper triangular, and with it a system R X = B or
+    R.T X = B costs one product with B.
+    """
+    n = R.shape[0]
+    X = np.zeros((n, n))
+    for i in reversed(range(0, n, _SOLVE_BLOCK)):
+        j = min(i + _SOLVE_BLOCK, n)
+        X[i:j, i:j] = np.linalg.inv(R[i:j, i:j])
+        X[i:j, j:] = -X[i:j, i:j] @ (R[i:j, j:] @ X[j:, j:])
     return X
 
 

@@ -90,6 +90,16 @@ def _exact_point(sub: SubproblemData, x):
     return x, r, -sub.rmatvec(r)
 
 
+def _phi_floor(sub: SubproblemData, tau: float, x, g, f: float):
+    """Lower bound on phi(tau) at a LASSO iterate x with f = 0.5 ||r||^2.
+
+    With the duality gap gap = tau ||g / w||_inf + x . g, phi(tau) lies in
+    [sqrt(max(2 (f - gap), 0)), ||r||].
+    """
+    gap = tau * float(np.abs(g / sub.w).max()) + float(x @ g)
+    return np.sqrt(max(2.0 * (f - gap), 0.0))
+
+
 def spg_lasso(sub: SubproblemData, tau: float, start=None,
               tol: float = _LASSO_TOL, stats: dict | None = None,
               _target: tuple[float, float] | None = None,
@@ -131,7 +141,7 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     ``_gate``, the subproblem's :class:`~dir_sparse.core.FaceGate` passed
     by :func:`pareto_newton`, is shown x and ||r|| after each iteration
     it says is due.  After a failed face try the next 1, 3, 7, ... looks
-    are skipped, since each try costs a QR of the face's columns.  A try
+    are skipped, since each try factors the face's Gram matrix.  A try
     that answers the subproblem returns at once, with the carried x, r and
     g and multiplier 0, as the answer is ``_gate.cert``.  Without a gate no
     face is tried.
@@ -207,9 +217,8 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             # phi(tau) lies in [phi_lo, phi]; with _PARETO_STOP < 1 a narrow
             # enough interval lies wholly on one side of sigma_bar.
             sigma_bar, root_tol = _target
-            gap = tau * float(np.abs(g / w).max()) + float(x @ g)
             phi = np.sqrt(2.0 * f_new)
-            phi_lo = np.sqrt(max(2.0 * (f_new - gap), 0.0))
+            phi_lo = _phi_floor(sub, tau, x, g, f_new)
             if phi - phi_lo <= _PARETO_STOP * (abs(phi - sigma_bar) - root_tol):
                 _tally(stats, "pareto_stops", 1)
                 converged = True
@@ -254,9 +263,13 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
     as soon as its duality gap settles which side of the root tau is on
     (see :func:`spg_lasso`), so only a solve near the root runs to the
     LASSO tolerance.  A solve ended that way stays outside root_tol, so
-    the bracket [tau_lo, tau_hi] keeps the root and no certificate is
-    built from it.  An escalation re-solves in place with the target at
-    the tightened root_tol.
+    no certificate is built from it.  A solve with phi <= sigma_bar sets
+    tau_hi, since phi(tau) <= phi; one with phi > sigma_bar sets tau_lo
+    only when its gap puts phi(tau) above sigma_bar too
+    (:func:`_phi_floor`), so the bracket [tau_lo, tau_hi] keeps the root
+    even where root_tol is finer than the LASSO tolerance resolves.  An
+    escalation re-solves in place with the target at the tightened
+    root_tol.
 
     The subproblem's :class:`~dir_sparse.core.FaceGate` is made on
     ``warm.x_lasso``, the only read of ``warm``, and every LASSO solve
@@ -320,10 +333,12 @@ def pareto_newton(sub: SubproblemData, warm: SpgState | None = None,
             root_tol = max(0.1 * root_tol, mach_slack)
             tau_next = tau     # re-evaluate in place at the tighter tolerance
         else:
-            if phi > sigma_bar:
-                tau_lo = max(tau_lo, tau)
-            else:
+            # phi >= phi(tau) always, but phi > sigma_bar bounds the root
+            # only when the solve's duality gap puts phi(tau) above it too.
+            if phi <= sigma_bar:
                 tau_hi = min(tau_hi, tau)
+            elif _phi_floor(sub, tau, x, g, 0.5 * phi * phi) > sigma_bar:
+                tau_lo = max(tau_lo, tau)
             tau_next = (tau + (sigma_bar - phi) / slope if slope < 0.0
                         else math.nan)              # NaN fails the test below
             if not tau_lo < tau_next < tau_hi:

@@ -240,7 +240,8 @@ class TestBenchCli:
         (["--delta", "0"], "delta must be positive"),
         (["--penalty-eps", "-1"], "epsilon must be positive"),
         (["--m", "40", "--n", "40"], "need 0 < m < n"),
-        (["--engines", " , "], "--engines names no engine")])
+        (["--engines", " , "], "--engines names no engine"),
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1")])
     def test_bench_rejects_bad_arguments_before_trials(
             self, tmp_path, capsys, monkeypatch, args, message):
         import dir_sparse.cli as cli
@@ -268,6 +269,22 @@ class TestBenchCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: must be at least 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_rejects_bad_tol(self, tmp_path, capsys, command, value):
+        # Before, a NaN or negative --tol ran every solve to --max-outer.
+        out = tmp_path / "t.out"
+        args = (["--matrix", str(tmp_path / "missing_A.csv"),
+                 "--rhs", str(tmp_path / "missing_b.csv"), "--sigma", "1.0"]
+                if command == "solve" else ["--m", "16", "--n", "48", "--s", "3",
+                                            "--trials", "1"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--tol", value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --tol: outer_tol must be finite and at least 0" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_scale_flag(self, tmp_path, monkeypatch):

@@ -19,9 +19,9 @@ from dir_sparse import (DirConfig, InexactCertificate, InstanceSpec, LossKind,
                         register_engine, retract, run_dir,
                         stationarity_report)
 from dir_sparse import core as core_module
-from dir_sparse.core import (_FACE_ROUNDS, FEASIBILITY_SLACK, FaceGate,
-                             ProblemInstance, SubproblemData,
-                             face_least_squares, face_solve, get_engine)
+from dir_sparse.core import (_FACE_ROUNDS, FEASIBILITY_SLACK, FaceFactor,
+                             FaceGate, ProblemInstance, SubproblemData,
+                             face_solve, get_engine)
 from dir_sparse.harness import _problem_data
 
 from conftest import ALL_KINDS, make_instance
@@ -354,14 +354,17 @@ def _certificate_at(sub, x, kkt_residual, coupling_residual, residual=None):
 
 
 class _EchoEngine:
-    """Feeds back the least-norm point; used to test the engine plug-in."""
+    """Feeds back half its anchor; used to test the engine plug-in.
+
+    Half the anchor is never the anchor, so no run stops on a zero step.
+    """
 
     def __init__(self):
         self.warm_seen = []
 
     def solve(self, sub, warm):
         self.warm_seen.append(warm)
-        cert = _certificate_at(sub, sub.instance.least_norm, math.inf, 0.0)
+        cert = _certificate_at(sub, 0.5 * sub.x_k, math.inf, 0.0)
         return cert, {"token": len(self.warm_seen)}, {"iterations": 1}
 
 
@@ -371,7 +374,8 @@ def _failing_solve(sub, warm):
 
 class _LyingEngine:
     """Engine whose second answer reports a zero residual at an infeasible
-    point; used to test that run_dir checks the retracted point."""
+    point; used to test that run_dir checks the retracted point.  Its first
+    answer is half its anchor, so the run does not stop on a zero step."""
 
     def __init__(self):
         self.calls = 0
@@ -379,7 +383,7 @@ class _LyingEngine:
     def solve(self, sub, warm):
         self.calls += 1
         if self.calls == 1:
-            cert = _certificate_at(sub, sub.x_k, 0.0, 0.0)
+            cert = _certificate_at(sub, 0.5 * sub.x_k, 0.0, 0.0)
         else:
             cert = _certificate_at(sub, sub.x_k + 100.0, 0.0, 0.0,
                                    residual=np.zeros_like(sub.b_w))
@@ -387,7 +391,7 @@ class _LyingEngine:
 
 
 class _RaisingEngine:
-    """Answers at its anchor, then raises ``exc`` on its second call."""
+    """Answers half its anchor, then raises ``exc`` on its second call."""
 
     def __init__(self, exc):
         self.exc = exc
@@ -397,7 +401,8 @@ class _RaisingEngine:
         self.calls += 1
         if self.calls == 2:
             raise self.exc
-        return _certificate_at(sub, sub.x_k, 0.0, 0.0), None, {"iterations": 1}
+        return (_certificate_at(sub, 0.5 * sub.x_k, 0.0, 0.0), None,
+                {"iterations": 1})
 
 
 def certificate_violation_run(certified=True):
@@ -405,7 +410,7 @@ def certificate_violation_run(certified=True):
     register_engine("lying-test", _LyingEngine().solve, certified=certified)
     inst = make_instance(5, 12, seed=18)
     return inst, run_dir(inst, DirConfig(engine="lying-test", max_outer=10,
-                                         outer_tol=-1.0))
+                                         outer_tol=0.0))
 
 
 def first_face_subproblem():
@@ -443,7 +448,8 @@ class TestFaceSolve:
         assert float(np.linalg.norm(residual)) == pytest.approx(
             sub.sigma_bar, rel=1e-12, abs=0.0)
         assert cert.kkt_residual <= 1e-10
-        # t from the normal equations on the face, independent of the QR.
+        # t from the normal equations on the face, independent of the
+        # kept factor.
         S = np.flatnonzero(x)
         M = sub.v[:, None] * sub.instance.A[:, S]
         z_ls = np.linalg.lstsq(M, sub.b_w, rcond=None)[0]
@@ -466,7 +472,9 @@ class TestFaceSolve:
             short = want.copy()
             short[j] = 0.0
             rest = np.flatnonzero(short)
-            *_, rho2 = face_least_squares(sub, rest, np.sign(short[rest]))
+            M = sub.v[:, None] * sub.instance.A[:, rest]
+            z_ls = np.linalg.lstsq(M, sub.b_w, rcond=None)[0]
+            rho2 = float(np.sum((M @ z_ls - sub.b_w) ** 2))
             stats = {}
             cert = face_solve(sub, short, stats)
             if rho2 >= sub.sigma_k:
@@ -481,14 +489,18 @@ class TestFaceSolve:
         assert reachable > 0
 
     @pytest.mark.parametrize("size", [0, 54, 60])
-    def test_empty_or_full_support_spends_nothing(self, size):
+    def test_empty_or_full_support_spends_nothing(self, monkeypatch, size):
+        # No product, and no column gathered: no FaceFactor is made.
         sub, _ = first_face_subproblem()
+        made = []
+        monkeypatch.setattr(core_module, "FaceFactor",
+                            lambda *args: made.append(args))
         x_prev = np.zeros(sub.w.shape[0])
         x_prev[:size] = 1.0
         calls = (sub.matvec_calls, sub.rmatvec_calls)
         stats = {}
         assert face_solve(sub, x_prev, stats) is None
-        assert (sub.matvec_calls, sub.rmatvec_calls) == calls
+        assert (sub.matvec_calls, sub.rmatvec_calls) == calls and made == []
         assert stats["face_checks"] == stats["face_accepted"] == 0
 
     def test_unmeetable_eps_gives_none(self):
@@ -528,6 +540,71 @@ class TestFaceSolve:
         cert2, _, info2 = solve(sub2, state1)
         assert cert2.criteria_met and info2["face_accepted"] == 1
         assert info2["iterations"] == 0
+
+
+def face_lstsq(sub, support, signs):
+    """(c, z_ls, h, rho2) on a face from two least-squares solves with M.
+
+    h = (M^T M)^-1 c is the least-squares solution of M h = y with y the
+    least-norm solution of M^T y = c.
+    """
+    M = sub.v[:, None] * sub.instance.A[:, support]
+    c = sub.w[support] * signs
+    z_ls = np.linalg.lstsq(M, sub.b_w, rcond=None)[0]
+    h = np.linalg.lstsq(M, np.linalg.lstsq(M.T, c, rcond=None)[0],
+                        rcond=None)[0]
+    return c, z_ls, h, float(np.sum((M @ z_ls - sub.b_w) ** 2))
+
+
+class TestFaceFactor:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_drops_and_adds_match_lstsq(self, seed):
+        # Drops and joins in a random order, some with no solve between
+        # them, a dropped entry joining again, and enough of them that the
+        # factor is both updated and taken afresh.
+        rng = np.random.default_rng(seed)
+        inst = make_instance(40, 120, seed=seed)
+        sub = build_subproblem(inst, inst.least_norm, 0)
+        start = rng.choice(120, size=24, replace=False)
+        face = FaceFactor(sub, start, rng.choice([-1.0, 1.0], size=24))
+        for step in range(12):
+            if step % 3 == 1:
+                size = face.support.size
+                face.keep(rng.random(size) > 0.15)
+            else:
+                out = np.setdiff1d(np.arange(120), face.support)
+                cols = rng.choice(out, size=rng.integers(1, 4), replace=False)
+                face.add(cols, rng.choice([-1.0, 1.0], size=cols.size))
+            if step % 4 == 3:
+                continue
+            got = face.solve()
+            want = face_lstsq(sub, face.support, face.signs)
+            np.testing.assert_array_equal(got[0], want[0])
+            for g, w in zip(got[1:], want[1:]):
+                np.testing.assert_allclose(g, w, rtol=1e-9)
+
+    def test_warm_try_past_six_rounds_certifies(self, monkeypatch):
+        # Desk seed 3's first warm try runs 14 active-set rounds, from the
+        # 33 entries of the cold answer to the 20 of its own: it certifies,
+        # where the former cap of 6 rounds gave it up.
+        inst, _ = generate_instance(InstanceSpec(m=54, n=256, s=8, seed=3))
+        cert0, warm, _ = admm_solve(
+            build_subproblem(inst, inst.least_norm, 0), None)
+        sub = build_subproblem(inst, cert0.x_next, 1)
+        rounds = []
+        solve = FaceFactor.solve
+
+        def counted(self):
+            rounds.append(self.support.size)
+            return solve(self)
+
+        monkeypatch.setattr(FaceFactor, "solve", counted)
+        cert = face_solve(sub, warm.x)
+        assert cert is not None and cert.criteria_met
+        assert len(rounds) > 6 and rounds[0] == 33
+        assert np.count_nonzero(cert.x_tilde) == 20
+        monkeypatch.setattr(core_module, "_FACE_ROUNDS", 6)
+        assert face_solve(sub, warm.x) is None
 
 
 class TestFaceGate:
@@ -574,6 +651,23 @@ class TestFaceGate:
         assert len(calls) == 1 and gate.stats["face_accepted"] == 1
 
 
+class TestDirConfig:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+    def test_rejects_bad_outer_tol(self, tol):
+        with pytest.raises(ValueError, match="outer_tol must be finite and "
+                                             "at least 0"):
+            DirConfig(outer_tol=tol)
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_rejects_max_outer_below_one(self, count):
+        with pytest.raises(ValueError, match="max_outer must be at least 1"):
+            DirConfig(max_outer=count)
+
+    def test_accepts_zero_tol_and_one_iteration(self):
+        config = DirConfig(outer_tol=0.0, max_outer=1)
+        assert (config.outer_tol, config.max_outer) == (0.0, 1)
+
+
 class TestRunDir:
     def test_stopping_rule_plumbing(self):
         inst = make_instance(6, 15, seed=12)
@@ -591,7 +685,7 @@ class TestRunDir:
         register_engine("echo-test", engine.solve, certified=False)
         inst = make_instance(5, 12, seed=15)
         res = run_dir(inst, DirConfig(engine="echo-test", max_outer=3,
-                                      outer_tol=-1.0))
+                                      outer_tol=0.0))
         assert len(res.history) == 3
         # warm state from solve k is handed to solve k+1
         assert engine.warm_seen[0] is None
@@ -637,7 +731,7 @@ class TestRunDir:
                         certified=False)
         inst = make_instance(5, 12, seed=19)
         res = run_dir(inst, DirConfig(engine="raise-test", max_outer=10,
-                                      outer_tol=-1.0))
+                                      outer_tol=0.0))
         assert res.status is RunStatus.ENGINE_ERROR
         assert res.status.value == "engine-error"
         assert res.error == "RuntimeError: boom"
@@ -650,7 +744,7 @@ class TestRunDir:
         inst = make_instance(5, 12, seed=19)
         with pytest.raises(KeyboardInterrupt):
             run_dir(inst, DirConfig(engine="interrupt-test", max_outer=10,
-                                    outer_tol=-1.0))
+                                    outer_tol=0.0))
 
     @pytest.mark.parametrize("engine", ["admm", "spg"])
     def test_matvec_columns_dense_on_desk(self, desk_instance, engine):

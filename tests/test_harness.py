@@ -30,6 +30,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             InstanceSpec(m=5, n=10, s=2, delta=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative "
+                                             "integer"):
+            InstanceSpec(seed=seed, **TINY)
+
+    def test_numpy_integer_seed(self):
+        assert InstanceSpec(seed=np.int64(7), **TINY).seed == 7
+
 
 class TestGeneration:
     def test_deterministic(self):

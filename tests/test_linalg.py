@@ -5,7 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from dir_sparse import (lambda_max_gram, least_norm_solution, project_l2_ball,
                         project_weighted_l1_ball, soft_threshold)
-from dir_sparse.linalg import l1_kkt_distance, solve_upper
+from dir_sparse.linalg import invert_upper, l1_kkt_distance, solve_upper
 
 
 def oracle_weighted_l1_projection(y, w, tau, tol=1e-14):
@@ -127,6 +127,22 @@ class TestSolveUpper:
 
             assert rel_residual(X) <= 2.0 * rel_residual(Y) + 1e-16
             assert np.linalg.norm(X - Y) <= agree * np.linalg.norm(Y)
+
+
+class TestInvertUpper:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 150])
+    def test_inverse_of_upper_triangular(self, n):
+        # Block boundaries at 64: one partial block, one full, and more.
+        rng = np.random.default_rng(n)
+        R = np.linalg.qr(rng.standard_normal((2 * n, n)), mode="r")
+        X = invert_upper(R)
+        np.testing.assert_array_equal(X, np.triu(X))
+        np.testing.assert_allclose(X @ R, np.eye(n), atol=1e-13)
+        np.testing.assert_allclose(X, np.linalg.inv(R), rtol=1e-11,
+                                   atol=1e-14)
+
+    def test_empty(self):
+        assert invert_upper(np.empty((0, 0))).shape == (0, 0)
 
 
 class TestLambdaMax:

@@ -6,7 +6,7 @@ from dir_sparse import (DirConfig, LossKind, LossSpec, PenaltySpec, RunStatus,
                         build_subproblem, lambda_max_gram, pareto_newton,
                         project_weighted_l1_ball, retract, run_dir, spg_lasso)
 from dir_sparse import core as core_module, spg as spg_module
-from dir_sparse.core import ProblemInstance, SubproblemData, face_least_squares
+from dir_sparse.core import FaceFactor, ProblemInstance, SubproblemData, face_solve
 
 from conftest import make_instance
 
@@ -183,20 +183,22 @@ class TestFaceMinimizer:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_kkt_solution(self, seed):
         # On the face's plane c . z = tau the minimizer is z_ls - mu h with
-        # mu = (c . z_ls - tau) / (c . h), from face_least_squares.
+        # mu = (c . z_ls - tau) / (c . h), from the face's kept factor.
         sub, support, signs, c_zls = random_face(seed)
         tau = 0.999 * c_zls
         z_kkt, mu = face_kkt(sub, support, signs, tau)
         assert mu > 0 and np.array_equal(np.sign(z_kkt), signs)
-        c, z_ls, h, _ = face_least_squares(sub, support, signs)
+        c, z_ls, h, _ = FaceFactor(sub, support, signs).solve()
         z = z_ls - (float(c @ z_ls) - tau) / float(c @ h) * h
         np.testing.assert_allclose(z, z_kkt, rtol=1e-10)
 
     @pytest.mark.parametrize("k", [12, 13])
     def test_none_when_support_fills_rows(self, k):
         sub = random_sub(12, 30, seed=0)
-        support = np.arange(k)
-        assert face_least_squares(sub, support, np.ones(k)) is None
+        x = np.zeros(30)
+        x[:k] = 1.0
+        assert face_solve(sub, x) is None
+        assert sub.matvec_calls == sub.rmatvec_calls == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.floats(1e-3, 1.2),
@@ -239,6 +241,21 @@ class TestParetoNewton:
         assert cert.coupling_residual <= 1e-12
         assert cert.kkt_residual <= 1e-10
         assert cert.multiplier == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_phi_floor_bounds_the_curve(self, seed):
+        # A loose solve's gap puts phi(tau) in [floor, ||r||], which is what
+        # lets a bracket end rest on it; a tight solve gives phi(tau).
+        sub = random_sub(20, 60, seed=seed)
+        tau = 0.5 * float(np.abs(sub.w * np.linalg.lstsq(
+            sub.v[:, None] * sub.instance.A, sub.b_w, rcond=None)[0]).sum())
+        x, _, _, _, r, g = spg_lasso(sub, tau, None, tol=1e-2)
+        phi = float(np.linalg.norm(r))
+        floor = spg_module._phi_floor(sub, tau, x, g, 0.5 * phi * phi)
+        _, _, _, conv, r_star, _ = spg_lasso(sub, tau, None, tol=1e-12)
+        phi_star = float(np.linalg.norm(r_star))
+        assert conv and floor < phi
+        assert floor <= phi_star * (1 + 1e-9) and phi_star <= phi * (1 + 1e-12)
 
     def test_zero_feasible_precondition(self):
         sub = one_dim_sub(b=0.5, sigma_k=1.0)   # ||b_w|| < sigma_bar
