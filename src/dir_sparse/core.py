@@ -30,9 +30,6 @@ _SIGMA_K_CLAMP = 1e-15
 # Active-set rounds of face_solve.  On the (540, 2560, 80) panel every try
 # ends within 18.
 _FACE_ROUNDS = 20
-# FaceFactor factors the face afresh once the entries dropped and joined
-# since its last factorization outnumber this fraction of that one's.
-_FACE_REFACTOR = 0.25
 # Face tries mid-solve (FaceGate): engine steps between looks at the sign
 # pattern, and the largest | ||A_k x - b_w|| - sigma_bar | / sigma_bar at a
 # try.
@@ -370,37 +367,23 @@ def sphere_certificate(sub: SubproblemData, x: np.ndarray, res: np.ndarray,
 
 
 class FaceFactor:
-    """Least squares on one face, kept on one Cholesky factor per try.
+    """Least squares on one face, on one inverse Gram matrix per try.
 
-    The entries are a base T, with its scaled columns M_T = A_k[:, T], its
-    Gram matrix G = M_T^T M_T and the inverse R^-1 of G's Cholesky factor
-    G = R^T R, and the entries P joined since, with M_P, B = M_T^T M_P and
-    C = M_P^T M_P.  The columns v o A[:, T] and v o A[:, P] are gathered
-    into plain arrays, which reads A but is not a product with A_k.  The
-    face S is the entries still active.  :meth:`add` gathers new columns
-    and borders B and C; :meth:`keep` only marks entries dropped.
-    :meth:`solve` works on S through R^-1 and two Schur complements, one
-    on the dropped base entries D and one on the active joined ones, and
-    factors the face afresh, making it the new base, once D and P together
-    outnumber ``_FACE_REFACTOR`` times |T|.
+    The face S, with signs s, keeps its scaled columns M = v o A[:, S] as
+    a plain array, gathered once each (which reads A but is not a product
+    with A_k), M^T b_w and H = (M^T M)^-1.  H is formed once, from the
+    Cholesky factor M^T M = R^T R as R^-1 R^-T; :meth:`keep` and
+    :meth:`add` update it by the block-inverse formulas (Hager 1989), so
+    :meth:`solve` spends products with H alone.
     """
 
     def __init__(self, sub: SubproblemData, support: np.ndarray,
                  signs: np.ndarray):
-        self.sub = sub
-        self._cols, self._signs = support, signs
-        self._active = np.ones(support.size, dtype=bool)
-        M = self._gather(support)
-        self._Mtb = M.T @ sub.b_w
-        self._base(M, M.T @ M)
-
-    @property
-    def support(self) -> np.ndarray:
-        return self._cols[self._active]
-
-    @property
-    def signs(self) -> np.ndarray:
-        return self._signs[self._active]
+        self.sub, self.support, self.signs = sub, support, signs
+        self._M = self._gather(support)
+        self._Mtb = self._M.T @ sub.b_w
+        R_inv = invert_upper(np.linalg.cholesky(self._M.T @ self._M).T)
+        self._H = R_inv @ R_inv.T
 
     def _gather(self, cols: np.ndarray) -> np.ndarray:
         """The scaled columns v o A[:, cols], as a plain array."""
@@ -408,130 +391,64 @@ class FaceFactor:
         return np.multiply(self.sub.instance.A[:, cols], self.sub.v[:, None],
                            out=M)
 
-    def _base(self, M_T: np.ndarray, G: np.ndarray) -> None:
-        """Make T the entries so far, with columns M_T and Gram matrix G."""
-        k = G.shape[0]
-        self._M_T, self._G, self._R_inv = M_T, G, None
-        self._M_P = np.empty((M_T.shape[0], 0))
-        self._B, self._C = np.empty((k, 0)), np.empty((0, 0))
-        self._dropped = np.empty(0, dtype=np.intp)
-        self._V, self._U = np.empty((k, 0)), np.empty((k, 0))
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the face's entries where the boolean ``mask`` is False.
+
+        With K the kept entries and D the dropped ones, the inverse of
+        the kept Gram matrix is H_KK - H_KD H_DD^-1 H_DK.
+        """
+        H, gone = self._H, ~mask
+        H_KD = H[np.ix_(mask, gone)]
+        self._H = H[np.ix_(mask, mask)] \
+            - H_KD @ np.linalg.solve(H[np.ix_(gone, gone)], H_KD.T)
+        self._M, self._Mtb = self._M[:, mask], self._Mtb[mask]
+        self.support, self.signs = self.support[mask], self.signs[mask]
 
     def add(self, cols: np.ndarray, signs: np.ndarray) -> None:
-        """Join the entries ``cols`` of A_k with the signs ``signs``."""
-        P = self._gather(cols)
-        self._B = np.concatenate((self._B, self._M_T.T @ P), axis=1)
-        cross = self._M_P.T @ P
-        self._C = np.block([[self._C, cross], [cross.T, P.T @ P]])
-        self._M_P = np.concatenate((self._M_P, P), axis=1)
-        self._Mtb = np.concatenate((self._Mtb, P.T @ self.sub.b_w))
-        self._cols = np.concatenate((self._cols, cols))
-        self._signs = np.concatenate((self._signs, signs))
-        self._active = np.concatenate((self._active,
-                                       np.ones(cols.size, dtype=bool)))
+        """Join the entries ``cols`` of A_k with the signs ``signs``.
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the face's entries where the boolean ``mask`` is False."""
-        gone = np.flatnonzero(self._active)[~mask]
-        self._active[gone] = False
-        self._dropped = np.concatenate(
-            (self._dropped, gone[gone < self._G.shape[0]]))
-
-    def _refactor(self) -> None:
-        """Make the face S the base, to be factored afresh."""
-        k = self._G.shape[0]
-        act = self._active
-        a_T, a_P = act[:k], act[k:]
-        B = self._B[np.ix_(a_T, a_P)]
-        self._cols, self._signs = self._cols[act], self._signs[act]
-        self._Mtb, self._active = self._Mtb[act], act[act]
-        self._base(np.concatenate((self._M_T[:, a_T], self._M_P[:, a_P]),
-                                  axis=1),
-                   np.block([[self._G[np.ix_(a_T, a_T)], B],
-                             [B.T, self._C[np.ix_(a_P, a_P)]]]))
-
-    def _solver(self):
-        """The map X -> Y with G_SS Y_S = X_S and Y zero off S.
-
-        Rows follow T, then P.  The base part G_(T-D)(T-D) y = g is solved
-        as G y = g + E_D lam with y_D = 0: y = G^-1 g - V (V_D)^-1
-        (G^-1 g)_D with V = G^-1 E_D, one column of V formed per dropped
-        entry.  The active joined entries P_a then enter through their
-        Schur complement C_aa - B_a^T W, W the base solve with B_a, whose
-        G^-1 B is formed once per joined entry.
+        With P the joined columns, HB = H M^T P and Q = P - M HB, the
+        Schur complement of the bordered Gram matrix is Q^T Q, and with
+        X = HB (Q^T Q)^-1 the new inverse is
+        [[H + X HB^T, -X], [-X^T, (Q^T Q)^-1]].
         """
-        k = self._G.shape[0]
-        if self._dropped.size + self._C.shape[0] > _FACE_REFACTOR * k:
-            self._refactor()
-            k = self._G.shape[0]
-        if self._R_inv is None:
-            self._R_inv = invert_upper(np.linalg.cholesky(self._G).T)
-        R_inv, D = self._R_inv, self._dropped
-        P = k + np.flatnonzero(self._active[k:])
-
-        def gram_solve(X):
-            return R_inv @ (R_inv.T @ X)
-
-        fresh = D[self._V.shape[1]:]
-        if fresh.size:
-            unit = np.zeros((k, fresh.size))
-            unit[fresh, np.arange(fresh.size)] = 1.0
-            self._V = np.concatenate((self._V, gram_solve(unit)), axis=1)
-        if self._U.shape[1] < self._B.shape[1]:
-            self._U = np.concatenate(
-                (self._U, gram_solve(self._B[:, self._U.shape[1]:])), axis=1)
-        V, V_D = self._V, self._V[D]
-
-        def off_dropped(Y):
-            """G^-1 g, in place, to the solve with y_D = 0."""
-            if D.size:
-                Y -= V @ np.linalg.solve(V_D, Y[D])
-                Y[D] = 0.0
-            return Y
-
-        if P.size:
-            B = self._B[:, P - k]
-            W = off_dropped(self._U[:, P - k])
-            R_c = invert_upper(
-                np.linalg.cholesky(self._C[np.ix_(P - k, P - k)] - B.T @ W).T)
-
-        def solve_on_face(X):
-            Y = np.zeros_like(X)
-            Y[:k] = off_dropped(gram_solve(X[:k]))
-            if P.size:
-                Y[P] = R_c @ (R_c.T @ (X[P] - B.T @ Y[:k]))
-                Y[:k] -= W @ Y[P]
-            return Y
-
-        return solve_on_face
+        P = self._gather(cols)
+        HB = self._H @ (self._M.T @ P)
+        Q = P - self._M @ HB
+        S_inv = np.linalg.inv(Q.T @ Q)
+        X = HB @ S_inv
+        k = HB.shape[0]
+        H = np.empty((k + cols.size, k + cols.size))
+        H[:k, :k] = self._H + X @ HB.T
+        H[:k, k:] = -X
+        H[k:, :k] = -X.T
+        H[k:, k:] = S_inv
+        self._H = H
+        self._M = np.concatenate((self._M, P), axis=1)
+        self._Mtb = np.concatenate((self._Mtb, P.T @ self.sub.b_w))
+        self.support = np.concatenate((self.support, cols))
+        self.signs = np.concatenate((self.signs, signs))
 
     def solve(self):
         """``(c, z_ls, h, rho2)`` on the face S.
 
-        c = w[S] o s; z_ls minimizes ||M_S z - b_w|| and h = G_SS^-1 c.
-        Both come from :meth:`_solver`, each corrected by one refinement
-        step on its residual with M (corrected semi-normal equations,
-        Bjorck 1987), and rho2 = ||M_S z_ls - b_w||^2 is read off the real
-        residual.  Along z = z_ls - s h the weighted norm c . z falls at
-        rate c . h and the squared residual is rho2 + s^2 c . h.  Raises
-        ``LinAlgError`` when a factor is not numerically positive definite.
+        c = w[S] o s; z_ls minimizes ||M z - b_w|| and h = (M^T M)^-1 c.
+        Both are read off H, each corrected by one refinement step on its
+        residual with M (corrected semi-normal equations, Bjorck 1987), and
+        rho2 = ||M z_ls - b_w||^2 is read off the real residual.  Along
+        z = z_ls - s h the weighted norm c . z falls at rate c . h and the
+        squared residual is rho2 + s^2 c . h.
         """
-        gram_solve = self._solver()
-        k, act = self._G.shape[0], self._active
-
-        def times_M(Y):
-            return self._M_T @ Y[:k] + self._M_P @ Y[k:]
-
-        c = np.zeros(act.size)
-        c[act] = self.sub.w[self._cols[act]] * self._signs[act]
-        Z = gram_solve(np.column_stack((self._Mtb, c)))
-        E = -times_M(Z)
-        E[:, 0] += self.sub.b_w
-        F = np.concatenate((self._M_T.T @ E, self._M_P.T @ E))
+        H, M, b_w = self._H, self._M, self.sub.b_w
+        c = self.sub.w[self.support] * self.signs
+        Z = H @ np.column_stack((self._Mtb, c))
+        E = -(M @ Z)
+        E[:, 0] += b_w
+        F = M.T @ E
         F[:, 1] += c
-        Z += gram_solve(F)
-        res = times_M(Z[:, 0]) - self.sub.b_w
-        return c[act], Z[act, 0], Z[act, 1], float(res @ res)
+        Z += H @ F
+        res = M @ Z[:, 0] - b_w
+        return c, Z[:, 0], Z[:, 1], float(res @ res)
 
 
 def face_solve(sub: SubproblemData, x_prev: np.ndarray,
@@ -551,48 +468,48 @@ def face_solve(sub: SubproblemData, x_prev: np.ndarray,
     pattern is read.  An active-set loop of at most ``_FACE_ROUNDS``
     rounds starts from S = supp(x_prev) and s = sign(x_prev[S]), on one
     :class:`FaceFactor` for the whole try: the columns of A are gathered
-    once each, and the face's Gram matrix is factored when the try starts
-    and again only when the entries dropped and joined since outgrow the
-    factor.  A round whose z flips a sign drops those entries and spends
-    no product.  Otherwise one ``matvec`` forms r and one ``rmatvec``
-    q = A_k^T r; the off-support entries with |q_j| > t w_j violate the
-    optimality conditions, and the worst max(1, |S| // 10) of them join S
-    with the signs -sign(q_j).  Without such an entry the certificate is
-    built from r and q.  It reads real products, so a factor that drifts
-    can cost a try but never gives a wrong answer.
+    once each, the face's Gram matrix is factored once, when the try
+    starts, and its inverse is updated as entries drop and join.  A round
+    whose z flips a sign drops those entries and spends no product.
+    Otherwise one ``matvec`` forms r and one ``rmatvec`` q = A_k^T r; the
+    off-support entries with |q_j| > t w_j violate the optimality
+    conditions, and the worst max(1, |S| // 10) of them join S with the
+    signs -sign(q_j).  Without such an entry the certificate is built from
+    r and q.  It reads real products, so an inverse that drifts can cost a
+    try but never gives a wrong answer.
 
     Returns that certificate when its ``criteria_met`` holds, and None when
     it fails, when S is empty or has m entries or more (for x_prev, before
     any column is gathered), when rho2 >= sigma_k (no point of the face
-    reaches the ball), when a factor is not numerically positive definite
-    (a LinAlgError, or c . h <= 0) or when the rounds run out.  When ``stats`` is a dict,
+    reaches the ball), when the Gram matrix is not numerically positive
+    definite (a LinAlgError while the factor is built or updated, or
+    c . h <= 0) or when the rounds run out.  When ``stats`` is a dict,
     ``"face_accepted"`` (1 for a returned certificate), ``"face_checks"``
-    (rounds that spent a product pair) and ``"face_s"`` (seconds in this
-    call) are added to its entries.
+    (the product pairs the try spent, one per checked round) and
+    ``"face_s"`` (seconds in this call) are added to its entries.
     """
     tic = time.perf_counter()
     support = np.flatnonzero(x_prev)
-    cert, checks = None, 0
+    cert, calls = None, sub.matvec_calls
     if 0 < support.size < sub.b_w.shape[0]:
-        cert, checks = _active_set(
-            sub, FaceFactor(sub, support, np.sign(x_prev[support])))
+        try:
+            cert = _active_set(
+                sub, FaceFactor(sub, support, np.sign(x_prev[support])))
+        except np.linalg.LinAlgError:
+            pass
     _tally(stats, "face_accepted", int(cert is not None))
-    _tally(stats, "face_checks", checks)
+    _tally(stats, "face_checks", sub.matvec_calls - calls)
     _tally(stats, "face_s", time.perf_counter() - tic)
     return cert
 
 
 def _active_set(sub: SubproblemData, face: FaceFactor):
-    """The rounds of :func:`face_solve` on ``face``: (certificate, checks)."""
+    """The rounds of :func:`face_solve` on ``face``: a certificate or None."""
     m, n = sub.b_w.shape[0], sub.w.shape[0]
-    checks = 0
     for _ in range(_FACE_ROUNDS):
-        try:
-            c, z_ls, h, rho2 = face.solve()
-        except np.linalg.LinAlgError:
-            break
+        c, z_ls, h, rho2 = face.solve()
         ch = float(c @ h)
-        # c . h = c^T G_SS^-1 c > 0 unless the factor has broken down.
+        # c . h = c^T G_SS^-1 c > 0 unless the inverse has broken down.
         if not (rho2 < sub.sigma_k and ch > 0.0):
             break
         t = float(np.sqrt((sub.sigma_k - rho2) / ch))
@@ -605,7 +522,6 @@ def _active_set(sub: SubproblemData, face: FaceFactor):
             x[face.support] = z
             res = sub.matvec(x) - sub.b_w
             q = sub.rmatvec(res)
-            checks += 1
             excess = np.abs(q) - t * sub.w
             excess[face.support] = 0.0
             worst = np.argsort(excess)[::-1][:max(1, face.support.size // 10)]
@@ -613,11 +529,11 @@ def _active_set(sub: SubproblemData, face: FaceFactor):
             if not worst.size:
                 cert = sphere_certificate(sub, x, res, q, t)
                 # Plain code, so that python -O keeps the check.
-                return (cert if cert.criteria_met else None), checks
+                return cert if cert.criteria_met else None
             face.add(worst, -np.sign(q[worst]))
         if not 0 < face.support.size < m:
             break
-    return None, checks
+    return None
 
 
 class FaceGate:

@@ -449,7 +449,7 @@ class TestFaceSolve:
             sub.sigma_bar, rel=1e-12, abs=0.0)
         assert cert.kkt_residual <= 1e-10
         # t from the normal equations on the face, independent of the
-        # kept factor.
+        # face's inverse Gram matrix.
         S = np.flatnonzero(x)
         M = sub.v[:, None] * sub.instance.A[:, S]
         z_ls = np.linalg.lstsq(M, sub.b_w, rcond=None)[0]
@@ -558,16 +558,24 @@ def face_lstsq(sub, support, signs):
 
 class TestFaceFactor:
     @pytest.mark.parametrize("seed", range(6))
-    def test_drops_and_adds_match_lstsq(self, seed):
-        # Drops and joins in a random order, some with no solve between
-        # them, a dropped entry joining again, and enough of them that the
-        # factor is both updated and taken afresh.
+    def test_drops_and_adds_match_lstsq(self, monkeypatch, seed):
+        # Drops and joins in a random order over as many steps as a try
+        # has rounds, some with no solve between them and a dropped entry
+        # joining again, all on the one Cholesky factor made at the start.
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def counted(G):
+            factored.append(G.shape[0])
+            return cholesky(G)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
         rng = np.random.default_rng(seed)
         inst = make_instance(40, 120, seed=seed)
         sub = build_subproblem(inst, inst.least_norm, 0)
         start = rng.choice(120, size=24, replace=False)
         face = FaceFactor(sub, start, rng.choice([-1.0, 1.0], size=24))
-        for step in range(12):
+        for step in range(_FACE_ROUNDS):
             if step % 3 == 1:
                 size = face.support.size
                 face.keep(rng.random(size) > 0.15)
@@ -582,15 +590,61 @@ class TestFaceFactor:
             np.testing.assert_array_equal(got[0], want[0])
             for g, w in zip(got[1:], want[1:]):
                 np.testing.assert_allclose(g, w, rtol=1e-9)
+        assert factored == [24]
 
-    def test_warm_try_past_six_rounds_certifies(self, monkeypatch):
-        # Desk seed 3's first warm try runs 14 active-set rounds, from the
-        # 33 entries of the cold answer to the 20 of its own: it certifies,
-        # where the former cap of 6 rounds gave it up.
+    @staticmethod
+    def desk_seed3_try():
+        """Desk seed 3's first warm try: its subproblem and warm answer.
+
+        The try runs 14 active-set rounds, from the 33 entries of the cold
+        answer to the 20 of its own, with 5 drops and 8 joins.
+        """
         inst, _ = generate_instance(InstanceSpec(m=54, n=256, s=8, seed=3))
         cert0, warm, _ = admm_solve(
             build_subproblem(inst, inst.least_norm, 0), None)
-        sub = build_subproblem(inst, cert0.x_next, 1)
+        return build_subproblem(inst, cert0.x_next, 1), warm.x
+
+    @pytest.mark.parametrize("method", ["keep", "add"])
+    def test_failing_update_ends_the_try(self, monkeypatch, method):
+        # A LinAlgError in the third update of either kind ends the try
+        # with None, and face_checks still counts the pairs spent before.
+        sub, x_prev = self.desk_seed3_try()
+        update, calls = getattr(FaceFactor, method), []
+
+        def failing(self, *args):
+            calls.append(method)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("factor broke down")
+            return update(self, *args)
+
+        monkeypatch.setattr(FaceFactor, method, failing)
+        before = (sub.matvec_calls, sub.rmatvec_calls)
+        stats = {}
+        assert face_solve(sub, x_prev, stats) is None
+        assert len(calls) == 3 and stats["face_accepted"] == 0
+        spent = sub.matvec_calls - before[0]
+        assert stats["face_checks"] == spent >= 1
+        assert sub.rmatvec_calls - before[1] == spent
+
+    def test_failing_factor_ends_the_try(self, monkeypatch):
+        # A Gram matrix that is not positive definite ends the try with
+        # None before any product.
+        sub, x_prev = self.desk_seed3_try()
+
+        def singular(G):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", singular)
+        before = (sub.matvec_calls, sub.rmatvec_calls)
+        stats = {}
+        assert face_solve(sub, x_prev, stats) is None
+        assert (sub.matvec_calls, sub.rmatvec_calls) == before
+        assert stats["face_checks"] == stats["face_accepted"] == 0
+
+    def test_warm_try_past_six_rounds_certifies(self, monkeypatch):
+        # Desk seed 3's first warm try certifies in 14 rounds, where the
+        # former cap of 6 rounds gave it up.
+        sub, x_prev = self.desk_seed3_try()
         rounds = []
         solve = FaceFactor.solve
 
@@ -599,12 +653,12 @@ class TestFaceFactor:
             return solve(self)
 
         monkeypatch.setattr(FaceFactor, "solve", counted)
-        cert = face_solve(sub, warm.x)
+        cert = face_solve(sub, x_prev)
         assert cert is not None and cert.criteria_met
         assert len(rounds) > 6 and rounds[0] == 33
         assert np.count_nonzero(cert.x_tilde) == 20
         monkeypatch.setattr(core_module, "_FACE_ROUNDS", 6)
-        assert face_solve(sub, warm.x) is None
+        assert face_solve(sub, x_prev) is None
 
 
 class TestFaceGate:

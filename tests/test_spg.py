@@ -183,7 +183,8 @@ class TestFaceMinimizer:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_kkt_solution(self, seed):
         # On the face's plane c . z = tau the minimizer is z_ls - mu h with
-        # mu = (c . z_ls - tau) / (c . h), from the face's kept factor.
+        # mu = (c . z_ls - tau) / (c . h), from the face's inverse Gram
+        # matrix.
         sub, support, signs, c_zls = random_face(seed)
         tau = 0.999 * c_zls
         z_kkt, mu = face_kkt(sub, support, signs, tau)
