@@ -596,32 +596,38 @@ class TestFaceFactor:
     def desk_seed3_try():
         """Desk seed 3's first warm try: its subproblem and warm answer.
 
-        The try runs 14 active-set rounds, from the 33 entries of the cold
-        answer to the 20 of its own, with 5 drops and 8 joins.
+        The try runs 19 active-set rounds, from the 33 entries of the cold
+        answer to the 20 of its own, with 12 drops and 7 joins.  Its first
+        five rounds drop and check nothing; the sixth drop is the first
+        after a checked round.
         """
         inst, _ = generate_instance(InstanceSpec(m=54, n=256, s=8, seed=3))
         cert0, warm, _ = admm_solve(
             build_subproblem(inst, inst.least_norm, 0), None)
         return build_subproblem(inst, cert0.x_next, 1), warm.x
 
-    @pytest.mark.parametrize("method", ["keep", "add"])
-    def test_failing_update_ends_the_try(self, monkeypatch, method):
-        # A LinAlgError in the third update of either kind ends the try
-        # with None, and face_checks still counts the pairs spent before.
+    @pytest.mark.parametrize("method, fails", [("keep", 6), ("add", 3)],
+                             ids=["keep", "add"])
+    def test_failing_update_ends_the_try(self, monkeypatch, method, fails):
+        # A LinAlgError in the first drop after a checked round, or in the
+        # third join, ends the try with None, and face_checks still counts
+        # the pairs spent before.
         sub, x_prev = self.desk_seed3_try()
         update, calls = getattr(FaceFactor, method), []
+        before = (sub.matvec_calls, sub.rmatvec_calls)
 
         def failing(self, *args):
-            calls.append(method)
-            if len(calls) == 3:
+            calls.append(sub.matvec_calls - before[0])
+            if len(calls) == fails:
                 raise np.linalg.LinAlgError("factor broke down")
             return update(self, *args)
 
         monkeypatch.setattr(FaceFactor, method, failing)
-        before = (sub.matvec_calls, sub.rmatvec_calls)
         stats = {}
         assert face_solve(sub, x_prev, stats) is None
-        assert len(calls) == 3 and stats["face_accepted"] == 0
+        assert len(calls) == fails and stats["face_accepted"] == 0
+        if method == "keep":
+            assert calls[-2] == 0 < calls[-1]
         spent = sub.matvec_calls - before[0]
         assert stats["face_checks"] == spent >= 1
         assert sub.rmatvec_calls - before[1] == spent
@@ -642,8 +648,8 @@ class TestFaceFactor:
         assert stats["face_checks"] == stats["face_accepted"] == 0
 
     def test_warm_try_past_six_rounds_certifies(self, monkeypatch):
-        # Desk seed 3's first warm try certifies in 14 rounds, where the
-        # former cap of 6 rounds gave it up.
+        # Desk seed 3's first warm try certifies in 19 rounds, where a cap
+        # of 6 rounds gives it up.
         sub, x_prev = self.desk_seed3_try()
         rounds = []
         solve = FaceFactor.solve
@@ -659,6 +665,48 @@ class TestFaceFactor:
         assert np.count_nonzero(cert.x_tilde) == 20
         monkeypatch.setattr(core_module, "_FACE_ROUNDS", 6)
         assert face_solve(sub, x_prev) is None
+
+    def test_warm_try_drops_the_worst_flips(self, monkeypatch):
+        # Desk seed 15's first warm try starts on 46 entries.  Dropping
+        # every entry whose sign flips gives it up; dropping only the worst
+        # max(1, |S| // 10) of them a round certifies it, on the face of
+        # the engine's own answer.
+        inst, _ = generate_instance(InstanceSpec(m=54, n=256, s=8, seed=15))
+        cert0, warm, _ = admm_solve(
+            build_subproblem(inst, inst.least_norm, 0), None)
+        sub = build_subproblem(inst, cert0.x_next, 1)
+        solve, keep = FaceFactor.solve, FaceFactor.keep
+        last, drops = {}, []
+
+        def solved(self):
+            c, z_ls, h, rho2 = out = solve(self)
+            if rho2 < sub.sigma_k:
+                t = float(np.sqrt((sub.sigma_k - rho2) / float(c @ h)))
+                last["z"] = z_ls - t * h
+            return out
+
+        def kept(self, mask):
+            # How far each entry is past zero against its sign.
+            past = -self.signs * last["z"]
+            flipped = np.sign(last["z"]) != self.signs
+            drops.append((self.support.size, flipped.sum(), ~mask, flipped,
+                          past))
+            return keep(self, mask)
+
+        monkeypatch.setattr(FaceFactor, "solve", solved)
+        monkeypatch.setattr(FaceFactor, "keep", kept)
+        cert = face_solve(sub, warm.x)
+        assert cert is not None and cert.criteria_met
+        assert drops and any(n_flipped > max(1, size // 10)
+                             for size, n_flipped, *_ in drops)
+        for size, _, dropped, flipped, past in drops:
+            assert 1 <= dropped.sum() <= max(1, size // 10)
+            assert flipped[dropped].all()
+            assert past[dropped].min() >= past[flipped & ~dropped].max(
+                initial=-np.inf)
+        own, _, _ = admm_solve(build_subproblem(inst, cert0.x_next, 1), None)
+        np.testing.assert_allclose(cert.x_tilde, own.x_tilde, rtol=0,
+                                   atol=1e-6)
 
 
 class TestFaceGate:
