@@ -563,11 +563,10 @@ class FaceGate:
     which keeps tries off iterates whose supports still change.  A try
     spends one product pair per checked round and changes no iterate.
 
-    ``tried`` says whether the last look tried; ``cert`` holds the last
-    try's certificate or None, and one not None answers the subproblem.
-    ``stats`` holds the tries' ``face_accepted`` (answers), ``face_checks``
-    (product pairs) and ``face_s`` (seconds), from 0, which the engines
-    copy into their ``info``.
+    ``cert`` holds the last try's certificate or None, and one not None
+    answers the subproblem.  ``stats`` holds the tries' ``face_accepted``
+    (answers), ``face_checks`` (product pairs) and ``face_s`` (seconds),
+    from 0, which the engines copy into their ``info``.
     """
 
     def __init__(self, sub: SubproblemData,
@@ -575,7 +574,6 @@ class FaceGate:
         self.sub = sub
         self.stats = {"face_accepted": 0, "face_checks": 0, "face_s": 0.0}
         self.cert: Optional[InexactCertificate] = None
-        self.tried = False
         self._patterns = set()
         self._looked = None
         if x_prev is not None:
@@ -588,16 +586,18 @@ class FaceGate:
         return step % _FACE_EVERY == 0
 
     def look(self, x: np.ndarray, rho: float) -> Optional[InexactCertificate]:
-        """Look at x, with rho = ||A_k x - b_w||; return a try's ``cert``."""
+        """Look at x, with rho = ||A_k x - b_w||; return this look's try's
+        ``cert``, or None when it did not try."""
         pattern = np.sign(x).tobytes()
         held, self._looked = pattern == self._looked, pattern
         sigma_bar = self.sub.sigma_bar
-        self.tried = held and pattern not in self._patterns \
+        tried = held and pattern not in self._patterns \
             and abs(rho - sigma_bar) <= _FACE_GAP * sigma_bar
-        if self.tried:
-            self._patterns.add(pattern)
-            self.cert = face_solve(self.sub, x, self.stats)
-        return self.cert if self.tried else None
+        if not tried:
+            return None
+        self._patterns.add(pattern)
+        self.cert = face_solve(self.sub, x, self.stats)
+        return self.cert
 
 
 def stationarity_report(instance: ProblemInstance, x: np.ndarray,

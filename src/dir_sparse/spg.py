@@ -140,8 +140,8 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
 
     ``_gate``, the subproblem's :class:`~dir_sparse.core.FaceGate` passed
     by :func:`pareto_newton`, is shown x and ||r|| after each iteration
-    it says is due.  After a failed face try the next 1, 3, 7, ... looks
-    are skipped, since each try factors the face's Gram matrix.  A try
+    it says is due, as :func:`~dir_sparse.admm.admm_solve` shows its
+    iterates; the gate alone decides whether a look tries a face.  A try
     that answers the subproblem returns at once, with the carried x, r and
     g and multiplier 0, as the answer is ``_gate.cert``.  Without a gate no
     face is tried.
@@ -178,7 +178,6 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
     recent = deque([0.5 * float(r @ r)], maxlen=_NONMONOTONE_MEMORY)
     converged = False
     it = 0
-    misses = skip = 0       # failed face tries; looks left to skip
 
     f_noise = 10.0 * np.finfo(float).eps
     for it in range(1, _MAX_SPG_PER_LASSO + 1):
@@ -205,14 +204,9 @@ def spg_lasso(sub: SubproblemData, tau: float, start=None,
             alpha = _ALPHA_MAX
         x, r, g = x + dx, r_new, g_new
         recent.append(f_new)
-        if _gate is not None and _gate.due(it):
-            if skip:
-                skip -= 1
-            elif _gate.look(x, math.sqrt(2.0 * f_new)) is not None:
-                return x, 0.0, it, True, r, g
-            elif _gate.tried:
-                misses += 1
-                skip = 2 ** misses - 1
+        if _gate is not None and _gate.due(it) \
+                and _gate.look(x, math.sqrt(2.0 * f_new)) is not None:
+            return x, 0.0, it, True, r, g
         if _target is not None:
             # phi(tau) lies in [phi_lo, phi]; with _PARETO_STOP < 1 a narrow
             # enough interval lies wholly on one side of sigma_bar.

@@ -494,9 +494,11 @@ class TestMidSolveFace:
         monkeypatch.setattr(admm_module, "_MAX_INNER", N)
         # The sign pattern after each ADMM sweep; each look as (sweeps
         # taken so far, sign pattern of its x, ||A_k x - b_w|| it was
-        # given); each try as (index of its look, sign pattern of its x).
-        sweeps, looks, tries = [], [], []
+        # given); each try as (index of its look, sign pattern of its x);
+        # each LASSO solve as (looks it made, its iterations).
+        sweeps, looks, tries, solves = [], [], [], []
         advance = admm_module._advance
+        lasso = spg_module.spg_lasso
         look = core_module.FaceGate.look
         face_solve = core_module.face_solve
 
@@ -514,7 +516,14 @@ class TestMidSolveFace:
         def spy_face(sub, x, stats=None):
             tries.append((len(looks) - 1, np.sign(x)))
             return face_solve(sub, x, stats)
+
+        def spy_lasso(*args, **kwargs):
+            before = len(looks)
+            out = lasso(*args, **kwargs)
+            solves.append((len(looks) - before, out[2]))
+            return out
         monkeypatch.setattr(admm_module, "_advance", spy_advance)
+        monkeypatch.setattr(spg_module, "spg_lasso", spy_lasso)
         monkeypatch.setattr(core_module.FaceGate, "look", spy_look)
         monkeypatch.setattr(core_module, "face_solve", spy_face)
         _, state, info = solve(sub, None)
@@ -527,8 +536,11 @@ class TestMidSolveFace:
             for it, pattern, _ in looks:
                 np.testing.assert_array_equal(pattern, sweeps[it - 1])
         else:
+            # A look after every _FACE_EVERY-th iteration of each LASSO
+            # solve, and none skipped.
             assert not sweeps
-            assert len(looks) <= info["iterations"] // every
+            assert all(n == it // every for n, it in solves)
+            assert sum(it for _, it in solves) == info["iterations"]
         held = sum(np.array_equal(a, b)
                    for (_, a, _), (_, b, _) in zip(looks, looks[1:]))
         assert 1 <= len(tries) < held
@@ -541,11 +553,10 @@ class TestMidSolveFace:
         patterns = {pattern.tobytes() for _, pattern in tries}
         assert len(patterns) == len(tries)
 
-    def test_spg_skips_looks_after_failed_tries(self, monkeypatch,
-                                                desk_instance):
-        # Within one LASSO solve, the j-th failed try makes spg_lasso skip
-        # the next 2**j - 1 looks the gate names due; a new solve starts
-        # with none to skip.  With eps_k = -1 every try fails.
+    def test_spg_looks_after_every_due_step(self, monkeypatch, desk_instance):
+        # Every step the gate names due, in every LASSO solve, is followed
+        # by a look, also after failed tries: the gate alone decides
+        # whether a look tries.  With eps_k = -1 every try fails.
         inst, _ = desk_instance
         sub = build_subproblem(inst, inst.least_norm, 0)
         sub.eps_k = -1.0
@@ -578,18 +589,18 @@ class TestMidSolveFace:
         monkeypatch.setattr(spg_module, "spg_lasso", spy_lasso)
         _, _, info = get_engine("spg")[0](sub, None)
         assert info["face_accepted"] == 0
-        misses = skip = skipped = 0
+        tried = False           # a failed try earlier in this solve
+        due_after_try = 0
         for event, after in zip(events, events[1:] + [None]):
             if event == "solve":
-                misses = skip = 0
+                tried = False
             elif event == "due":
-                assert (after == "look") is (skip == 0)
-                skipped += skip > 0
-                skip = max(skip - 1, 0)
+                assert after == "look"
+                due_after_try += tried
             elif event == "try":
-                misses += 1
-                skip = 2 ** misses - 1
-        assert events.count("try") >= 2 and skipped >= 1
+                tried = True
+        # The skip this replaces would have passed over these dues.
+        assert events.count("try") >= 2 and due_after_try >= 1
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_failed_tries_leave_the_iterates_unchanged(self, monkeypatch,

@@ -732,11 +732,12 @@ class TestFaceGate:
         assert set(gate.stats) == {"face_accepted", "face_checks", "face_s"}
         assert gate.stats["face_accepted"] == 1
         assert gate.stats["face_checks"] == sub.matvec_calls - before >= 1
-        # The warm pattern counts as tried: a held look on it tries nothing.
+        # The warm pattern counts as tried: a held look on it tries nothing,
+        # and returns None although the gate holds the warm try's answer.
         for _ in range(2):
             assert gate.look(x_prev, sub.sigma_bar) is None
-            assert not gate.tried
-        assert len(calls) == 1 and gate.cert is calls[0][1]
+            assert len(calls) == 1
+        assert gate.cert is calls[0][1]
 
     def test_cold_gate_tries_nothing_at_construction(self, monkeypatch):
         sub, x_prev = first_face_subproblem()
@@ -748,9 +749,11 @@ class TestFaceGate:
                               "face_s": 0.0}
         assert (sub.matvec_calls, sub.rmatvec_calls) == before
         # The same pattern, held over two looks, is tried on the second.
-        assert gate.look(x_prev, sub.sigma_bar) is None and not gate.tried
-        assert gate.look(x_prev, sub.sigma_bar) is not None and gate.tried
-        assert len(calls) == 1 and gate.stats["face_accepted"] == 1
+        assert gate.look(x_prev, sub.sigma_bar) is None and calls == []
+        cert = gate.look(x_prev, sub.sigma_bar)
+        assert len(calls) == 1 and calls[0][0] is x_prev
+        assert cert is not None and cert is calls[0][1] is gate.cert
+        assert gate.stats["face_accepted"] == 1
 
 
 class TestDirConfig:

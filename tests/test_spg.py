@@ -699,22 +699,21 @@ class TestEndToEnd:
     def test_seed3_tukey_escalations(self):
         # Certified SPG escalated 39 times on this run when it answered only
         # on the warm answer's face; answers on the face its LASSO iterate
-        # settles on leave at most a handful.  They cost passes here,
-        # though: 30,069 against 24,089 with the LASSO face steps they
-        # replaced, and the budget holds that loss from growing.
+        # settles on leave at most a handful (2 here).  The run takes
+        # 27,831 passes, and the budget is that plus 5%.
         res = run_dir(make_instance(54, 256, 3, LossKind.TUKEY_BIWEIGHT),
                       DirConfig(engine="spg"))
         assert res.status is RunStatus.CONVERGED
         assert sum(rec["escalations"] for rec in res.history) <= 5
         assert sum(rec["matvec_calls"] + rec["rmatvec_calls"]
-                   for rec in res.history) <= 31_000
+                   for rec in res.history) <= 29_200
 
     @pytest.mark.parametrize("kind, budget", [
-        (LossKind.CAUCHY, 7283), (LossKind.GEMAN_MCCLURE, 4658),
-        (LossKind.WELSH, 4667), (LossKind.PSEUDO_HUBER, 4612),
-        (LossKind.HUBER, 5917)])
+        (LossKind.CAUCHY, 6974), (LossKind.GEMAN_MCCLURE, 4605),
+        (LossKind.WELSH, 4248), (LossKind.PSEUDO_HUBER, 4424),
+        (LossKind.HUBER, 5265)])
     def test_seed3_pass_budget(self, kind, budget):
-        # The measured 6936, 4436, 4444, 4392 and 5635 passes plus 5%.  No
+        # The measured 6642, 4386, 4046, 4214 and 5015 passes plus 5%.  No
         # benchmark workload runs certified SPG on these instances, so a
         # rise of the face-step loss on them shows only here.
         res = run_dir(make_instance(54, 256, 3, kind), DirConfig(engine="spg"))
