@@ -684,6 +684,13 @@ class TestCertificate:
         np.testing.assert_array_equal(view.u_tilde, face.u_tilde)
 
 
+def seed3_spg_run(kind):
+    """Status and operator passes of certified SPG on the seed-3 instance."""
+    res = run_dir(make_instance(54, 256, 3, kind), DirConfig(engine="spg"))
+    return res.status, sum(rec["matvec_calls"] + rec["rmatvec_calls"]
+                           for rec in res.history)
+
+
 class TestEndToEnd:
     def test_certified_run_matches_blackbox_quality(self, desk_instance):
         inst, x_orig = desk_instance
@@ -709,14 +716,26 @@ class TestEndToEnd:
                    for rec in res.history) <= 29_200
 
     @pytest.mark.parametrize("kind, budget", [
+        (LossKind.CAUCHY, 7283), (LossKind.GEMAN_MCCLURE, 4658),
+        (LossKind.WELSH, 4667), (LossKind.PSEUDO_HUBER, 4612),
+        (LossKind.HUBER, 5917)])
+    def test_seed3_pass_budget(self, kind, budget):
+        # The 6936, 4436, 4444, 4392 and 5635 passes these runs took while
+        # SPG skipped looks after failed face tries, plus 5%.  No benchmark
+        # workload runs certified SPG on these instances, so a rise of the
+        # face-step loss on them shows only here.
+        status, passes = seed3_spg_run(kind)
+        assert status is RunStatus.CONVERGED
+        assert passes <= budget
+
+    @pytest.mark.parametrize("kind, budget", [
         (LossKind.CAUCHY, 6974), (LossKind.GEMAN_MCCLURE, 4605),
         (LossKind.WELSH, 4248), (LossKind.PSEUDO_HUBER, 4424),
         (LossKind.HUBER, 5265)])
-    def test_seed3_pass_budget(self, kind, budget):
-        # The measured 6642, 4386, 4046, 4214 and 5015 passes plus 5%.  No
-        # benchmark workload runs certified SPG on these instances, so a
-        # rise of the face-step loss on them shows only here.
-        res = run_dir(make_instance(54, 256, 3, kind), DirConfig(engine="spg"))
-        assert res.status is RunStatus.CONVERGED
-        assert sum(rec["matvec_calls"] + rec["rmatvec_calls"]
-                   for rec in res.history) <= budget
+    def test_seed3_pass_budget_every_look(self, kind, budget):
+        # With a look on every due step the same runs take 6642, 4386,
+        # 4046, 4214 and 5015 passes; the budget is that plus 5%, so that
+        # skipping looks after failed tries again fails here.
+        status, passes = seed3_spg_run(kind)
+        assert status is RunStatus.CONVERGED
+        assert passes <= budget
